@@ -189,6 +189,43 @@ func TestDecomposeFlowRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecomposeFlowK5WCOpt is the `tcr design -k 5 -kind wcopt`
+// regression (min locality at the optimal worst case → decompose → eval):
+// the certified flow comes up about 1.4e-7 short of a unit for some
+// destinations, more than decompCoverTol but within the LP's conservation
+// accuracy, and the decomposition must still yield a table with the
+// design's worst-case load.
+func TestDecomposeFlowK5WCOpt(t *testing.T) {
+	tor := topo.NewTorus(5)
+	res, err := MinLocalityAtWorstCase(tor, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := DecomposeFlow(res.Flow, "wc-opt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := eval.FromAlgorithm(tor, tbl)
+	gw, _ := f.WorstCase()
+	if math.Abs(gw-res.GammaWC) > 1e-6 {
+		t.Fatalf("decomposed table worst case %v, design's %v", gw, res.GammaWC)
+	}
+	if e := f.ConservationError(); e > 1e-6 {
+		t.Fatalf("decomposed table conservation error %v", e)
+	}
+	// A shortfall well beyond the LP's accuracy is still an error.
+	short := eval.NewFlow(tor)
+	for rel, row := range res.Flow.X {
+		copy(short.X[rel], row)
+	}
+	for c := range short.X[6] {
+		short.X[6][c] *= 1 - 1e-3
+	}
+	if _, err := DecomposeFlow(short, "short"); err == nil {
+		t.Fatal("decomposition accepted a flow 1e-3 short of a unit")
+	}
+}
+
 func TestAvgCaseOptimalBeatsClosedForms(t *testing.T) {
 	tor := topo.NewTorus(4)
 	samples := traffic.Sample(tor.N, 12, 17)

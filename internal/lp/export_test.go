@@ -14,3 +14,10 @@ func (s *Solver) FtranCol(col int) []float64 { return s.ftran(col) }
 // NumCols reports the total column count (structurals + logicals +
 // artificials) of the computational form.
 func (s *Solver) NumCols() int { return len(s.cost) }
+
+// CheckPivotOrder refactorizes the current basis, checking every pivot
+// selection against the exhaustive reference scan (lu_ref_test.go), and
+// reports the selections compared and the repairs made.
+func (s *Solver) CheckPivotOrder() (selections, repairs int, err error) {
+	return s.checkPivotOrder()
+}

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Sparse LU factorization of the basis with Markowitz-style pivot ordering.
@@ -27,6 +28,20 @@ import (
 // rule discovers that automatically: singleton columns and rows have merit
 // zero and are consumed first, so the "bump" needing real elimination — and
 // hence fill — stays tiny.
+//
+// The pivot search never rescans the active matrix. The workspace keeps,
+// incrementally across elimination steps, a bitset of singleton columns and
+// one of singleton rows (lowest index first via bits.TrailingZeros64),
+// doubly linked buckets of columns keyed by live length, a cached per-column
+// max |value|, and a histogram of live row counts giving the smallest row
+// count rmin. The bump search walks the buckets by increasing length and
+// stops once (n-1)(rmin-1) exceeds the best merit found, since no longer
+// column can match it (the count-bucketed search of Suhl & Suhl, 1990). The
+// rule it implements is exact and order-independent: minimum merit, then
+// larger |a|, then lower column, then lower index within the column — with
+// merit zero ranking the lower column ahead of |a| — which is the pivot the
+// plain column-by-column scan picks (lu_ref_test.go keeps that scan as the
+// reference and checks every step against it).
 
 const (
 	// markowitzStab is the relative pivot-magnitude threshold: an entry is
@@ -108,6 +123,17 @@ type luWork struct {
 	qVal    []float64
 	lRows   []int32 // pivot-column multipliers of the current step
 	lMuls   []float64
+	// Pivot-search structures, kept in step with colRows/colVals/rowCnt by
+	// addRowCnt, colChanged and the retire helpers (see the file comment).
+	colMax  []float64 // per position: max |value| of the live column
+	colNext []int32   // per position: next position in its length bucket
+	colPrev []int32   // per position: previous position, -1 at the head
+	colBkt  []int32   // per position: length bucket it is linked in, -1 if none
+	colHead []int32   // per live length: first position of the bucket, -1 if empty
+	maxLen  int       // no bucket above this length is nonempty
+	singCol []uint64  // bitset of unpivoted positions with live length 1
+	singRow []uint64  // bitset of unpivoted rows with live count 1
+	rowHist []int32   // per live count: number of unpivoted rows with it
 	// Arenas backing the per-position and per-row slices: carved with tight
 	// capacities at every factorization so the whole load performs O(1)
 	// allocations. Columns and row lists that gain fill regrow out of the
@@ -180,7 +206,7 @@ func (w *luWork) init(m int) {
 	w.colRows = w.colRows[:m]
 	w.colVals = w.colVals[:m]
 	w.rowCols = w.rowCols[:m]
-	if cap(w.rowCnt) < m {
+	if cap(w.colHead) < m+1 { // the per-length arrays need m+1 even at m = 0
 		c := m + m/2
 		w.rowCnt = make([]int32, c)
 		w.rowPiv = make([]bool, c)
@@ -188,6 +214,14 @@ func (w *luWork) init(m int) {
 		w.wVal = make([]float64, c)
 		w.wMark = make([]int32, c)
 		w.posMark = make([]int32, c)
+		w.colMax = make([]float64, c)
+		w.colNext = make([]int32, c)
+		w.colPrev = make([]int32, c)
+		w.colBkt = make([]int32, c)
+		w.colHead = make([]int32, c+1)
+		w.rowHist = make([]int32, c+1)
+		w.singCol = make([]uint64, (c+63)/64)
+		w.singRow = make([]uint64, (c+63)/64)
 	}
 	w.rowCnt = w.rowCnt[:m]
 	w.rowPiv = w.rowPiv[:m]
@@ -195,16 +229,124 @@ func (w *luWork) init(m int) {
 	w.wVal = w.wVal[:m]
 	w.wMark = w.wMark[:m]
 	w.posMark = w.posMark[:m]
+	w.colMax = w.colMax[:m]
+	w.colNext = w.colNext[:m]
+	w.colPrev = w.colPrev[:m]
+	w.colBkt = w.colBkt[:m]
+	w.colHead = w.colHead[:m+1]
+	w.rowHist = w.rowHist[:m+1]
+	w.singCol = w.singCol[:(m+63)/64]
+	w.singRow = w.singRow[:(m+63)/64]
 	for i := 0; i < m; i++ {
 		w.rowCnt[i] = 0
 		w.rowPiv[i] = false
 		w.colPiv[i] = false
 		w.wMark[i] = 0
-		w.wMark[i] = 0
 		w.posMark[i] = 0
 		w.rowCols[i] = w.rowCols[i][:0]
+		w.colBkt[i] = -1
 	}
+	for n := range w.colHead {
+		w.colHead[n] = -1
+		w.rowHist[n] = 0
+	}
+	w.rowHist[0] = int32(m) // every row starts empty
+	clear(w.singCol)
+	clear(w.singRow)
+	w.maxLen = 0
 	w.stamp = 0
+}
+
+// addRowCnt adds d (±1) to unpivoted row r's live count. Every count change
+// goes through here so the singleton-row bitset and the count histogram
+// never drift from rowCnt.
+func (w *luWork) addRowCnt(r int32, d int32) {
+	old := w.rowCnt[r]
+	n := old + d
+	w.rowCnt[r] = n
+	w.rowHist[old]--
+	w.rowHist[n]++
+	if n == 1 || old == 1 {
+		w.singRow[r>>6] ^= 1 << (r & 63)
+	}
+}
+
+// retireRow marks row r pivoted, removing it from the search structures.
+// Its count is frozen from here on: nothing reads a pivoted row's count.
+func (w *luWork) retireRow(r int) {
+	w.rowPiv[r] = true
+	w.rowHist[w.rowCnt[r]]--
+	w.singRow[r>>6] &^= 1 << (r & 63)
+}
+
+// colChanged refreshes the search structures of unpivoted position c after
+// its live entries were (re)written: the cached max |value|, the length
+// bucket and the singleton-column bit.
+func (w *luWork) colChanged(c int) {
+	colMax := 0.0
+	for _, v := range w.colVals[c] {
+		if a := math.Abs(v); a > colMax {
+			colMax = a
+		}
+	}
+	w.colMax[c] = colMax
+	n := int32(len(w.colRows[c]))
+	if n == 1 {
+		w.singCol[c>>6] |= 1 << (c & 63)
+	} else {
+		w.singCol[c>>6] &^= 1 << (c & 63)
+	}
+	if w.colBkt[c] == n {
+		return
+	}
+	w.unlinkCol(c)
+	w.colBkt[c] = n
+	w.colPrev[c] = -1
+	w.colNext[c] = w.colHead[n]
+	if h := w.colHead[n]; h >= 0 {
+		w.colPrev[h] = int32(c)
+	}
+	w.colHead[n] = int32(c)
+	if int(n) > w.maxLen {
+		w.maxLen = int(n)
+	}
+}
+
+// unlinkCol removes position c from its length bucket, if it is in one.
+func (w *luWork) unlinkCol(c int) {
+	n := w.colBkt[c]
+	if n < 0 {
+		return
+	}
+	p, q := w.colPrev[c], w.colNext[c]
+	if p >= 0 {
+		w.colNext[p] = q
+	} else {
+		w.colHead[n] = q
+	}
+	if q >= 0 {
+		w.colPrev[q] = p
+	}
+	w.colBkt[c] = -1
+}
+
+// retireCol marks position c pivoted, removing it from the search
+// structures.
+func (w *luWork) retireCol(c int) {
+	w.colPiv[c] = true
+	w.unlinkCol(c)
+	w.singCol[c>>6] &^= 1 << (c & 63)
+}
+
+// minRowCnt returns the smallest nonzero live count among unpivoted rows,
+// or 0 when every unpivoted row is empty.
+func (w *luWork) minRowCnt() int32 {
+	for n := 1; n < len(w.rowHist); n++ {
+		if w.rowHist[n] > 0 {
+			return int32(n)
+		}
+	}
+	return 0
 }
 
 // factorizeSparse builds the sparse LU factors of the current basis and
@@ -212,6 +354,28 @@ func (w *luWork) init(m int) {
 // by substituting the artificial column of a still-unpivoted row, mirroring
 // the dense engine's repair. On success the factors are marked current.
 func (s *Solver) factorizeSparse() error {
+	s.luLoad()
+	for step := 0; step < s.nRows; step++ {
+		pr, pc, pIdx := s.luSelectPivot()
+		for pc < 0 {
+			if err := s.luRepair(); err != nil {
+				return err
+			}
+			pr, pc, pIdx = s.luSelectPivot()
+		}
+		s.luEliminate(pr, pc, pIdx)
+	}
+	s.factorOK = true
+	// New pivot sequence: the hyper-sparse step indexes and consumer
+	// transposes (hypersparse.go) are rebuilt lazily on first use.
+	s.hs.transOK = false
+	return nil
+}
+
+// luLoad resets the factors and the eta file and loads the basis columns
+// into the active matrix and its pivot-search structures, ready for the
+// first elimination step.
+func (s *Solver) luLoad() {
 	m := s.nRows
 	w := &s.luw
 	w.init(m)
@@ -224,8 +388,7 @@ func (s *Solver) factorizeSparse() error {
 	s.etas.reset()
 	s.luRepairs = 0
 
-	// Load the basis columns into the active matrix, carving the
-	// per-position and per-row slices out of the shared arenas.
+	// Carve the per-position and per-row slices out of the shared arenas.
 	if cap(w.arR) < tot {
 		// Same headroom rationale as luFactor.reserve: cut loops grow the
 		// basis incrementally between refactorizations.
@@ -253,8 +416,9 @@ func (s *Solver) factorizeSparse() error {
 		w.colRows[pos], w.colVals[pos] = cr, cv
 		off += n
 		for _, r := range rows {
-			w.rowCnt[r]++
+			w.addRowCnt(r, 1)
 		}
+		w.colChanged(pos)
 	}
 	off = 0
 	for r := 0; r < m; r++ {
@@ -262,89 +426,89 @@ func (s *Solver) factorizeSparse() error {
 		w.rowCols[r] = w.arRow[off : off : off+n]
 		off += n
 	}
-	for pos, col := range s.basis {
-		for _, r := range s.colR[col] {
+	for pos, rows := range w.colRows {
+		for _, r := range rows {
 			w.rowCols[r] = append(w.rowCols[r], int32(pos))
 		}
 	}
-
-	for step := 0; step < m; step++ {
-		pr, pc, pIdx := s.luSelectPivot()
-		for pc < 0 {
-			if err := s.luRepair(); err != nil {
-				return err
-			}
-			pr, pc, pIdx = s.luSelectPivot()
-		}
-		s.luEliminate(pr, pc, pIdx)
-	}
-	s.factorOK = true
-	// New pivot sequence: the hyper-sparse step indexes and consumer
-	// transposes (hypersparse.go) are rebuilt lazily on first use.
-	s.hs.transOK = false
-	return nil
 }
 
-// luSelectPivot scans the uneliminated submatrix for the entry with minimal
-// Markowitz merit among entries passing the relative magnitude threshold.
-// Merit-zero pivots (singleton rows or columns) are taken immediately. It
-// returns (-1, -1, -1) when every remaining column is numerically null.
+// luSelectPivot returns the entry of the uneliminated submatrix with minimal
+// Markowitz merit among entries passing the relative magnitude threshold,
+// ranked as the file comment states. Merit-zero pivots (singleton columns,
+// then singleton rows, lowest index first) come straight from the bitsets;
+// otherwise the bump search walks the length buckets. It returns
+// (-1, -1, -1) when every remaining column is numerically null.
 func (s *Solver) luSelectPivot() (pr, pc, pIdx int) {
 	w := &s.luw
-	m := s.nRows
-	// Fast path: merit-zero pivots found by count alone, no value scans.
-	// Basis matrices here are near-triangular (logical columns are
-	// singletons; flow columns hold a handful of entries), so almost every
-	// step resolves here and the full Markowitz scan only ever sees the
-	// small irreducible bump.
-	for c := 0; c < m; c++ {
-		if w.colPiv[c] || len(w.colRows[c]) != 1 {
-			continue
-		}
-		if math.Abs(w.colVals[c][0]) > pivotTol {
-			return int(w.colRows[c][0]), c, 0
+	for wi, word := range w.singCol {
+		for ; word != 0; word &= word - 1 {
+			c := wi<<6 + bits.TrailingZeros64(word)
+			if math.Abs(w.colVals[c][0]) > pivotTol {
+				return int(w.colRows[c][0]), c, 0
+			}
 		}
 	}
-	for r := 0; r < m; r++ {
-		if w.rowPiv[r] || w.rowCnt[r] != 1 {
-			continue
-		}
-		if pr, pc, pIdx = s.luSingletonRowPivot(r); pc >= 0 {
-			return pr, pc, pIdx
+	for wi, word := range w.singRow {
+		for ; word != 0; word &= word - 1 {
+			r := wi<<6 + bits.TrailingZeros64(word)
+			if pr, pc, pIdx = s.luSingletonRowPivot(r); pc >= 0 {
+				return pr, pc, pIdx
+			}
 		}
 	}
+	rmin := int64(w.minRowCnt())
 	bestMerit := int64(math.MaxInt64)
 	bestMag := 0.0
 	pr, pc, pIdx = -1, -1, -1
-	for c := 0; c < m; c++ {
-		if w.colPiv[c] {
-			continue
+	// Length 0 and 1 buckets hold only numerically null columns by now: an
+	// acceptable singleton column was taken above.
+	for n := 2; n <= w.maxLen; n++ {
+		cc := int64(n - 1)
+		if cc*(rmin-1) > bestMerit {
+			break // every entry of a column this long has a larger merit
 		}
-		rows, vals := w.colRows[c], w.colVals[c]
-		colMax := 0.0
-		for _, v := range vals {
-			if a := math.Abs(v); a > colMax {
-				colMax = a
+		for c := int(w.colHead[n]); c >= 0; c = int(w.colNext[c]) {
+			colMax := w.colMax[c]
+			if colMax <= pivotTol {
+				continue // numerically null column; repair if everything is
 			}
-		}
-		if colMax <= pivotTol {
-			continue // numerically null column; repair if everything is
-		}
-		thr := colMax * markowitzStab
-		cc := int64(len(rows) - 1)
-		for i, r := range rows {
-			a := math.Abs(vals[i])
-			if a < thr || a <= pivotTol {
-				continue
-			}
-			merit := cc * int64(w.rowCnt[r]-1)
-			if merit < bestMerit || (merit == bestMerit && a > bestMag) {
+			thr := colMax * markowitzStab
+			vals := w.colVals[c]
+			for i, r := range w.colRows[c] {
+				a := math.Abs(vals[i])
+				if a < thr || a <= pivotTol {
+					continue
+				}
+				merit := cc * int64(w.rowCnt[r]-1)
+				if merit > bestMerit {
+					continue
+				}
+				if merit == bestMerit {
+					// Ties: merit zero ranks the lower column first (the
+					// scan stopped at the first column holding one; with
+					// exact counts the singleton-row pass has taken every
+					// such pivot already), any other merit the larger
+					// magnitude; then column, then index.
+					var better bool
+					switch {
+					case merit == 0 && c != pc:
+						better = c < pc
+					case a > bestMag:
+						better = true
+					case a < bestMag:
+					case c != pc:
+						better = c < pc
+					default:
+						better = i < pIdx
+					}
+					if !better {
+						continue
+					}
+				}
 				bestMerit, bestMag = merit, a
 				pr, pc, pIdx = int(r), c, i
 			}
-		}
-		if bestMerit == 0 {
-			break // no fill possible; stop searching
 		}
 	}
 	return pr, pc, pIdx
@@ -361,21 +525,17 @@ func (s *Solver) luSingletonRowPivot(r int) (int, int, int) {
 		if w.colPiv[q] {
 			continue
 		}
-		rows, vals := w.colRows[q], w.colVals[q]
-		idx, colMax := -1, 0.0
-		for i, ri := range rows {
-			a := math.Abs(vals[i])
-			if a > colMax {
-				colMax = a
-			}
+		idx := -1
+		for i, ri := range w.colRows[q] {
 			if int(ri) == r {
 				idx = i
+				break
 			}
 		}
 		if idx < 0 {
 			continue // stale reference
 		}
-		if a := math.Abs(vals[idx]); a > pivotTol && a >= colMax*markowitzStab {
+		if a := math.Abs(w.colVals[q][idx]); a > pivotTol && a >= w.colMax[q]*markowitzStab {
 			return r, int(q), idx
 		}
 		return -1, -1, -1 // entry exists but is unstable; leave to the full scan
@@ -398,17 +558,8 @@ func (s *Solver) luRepair() error {
 	// the smallest residual magnitude (the most dependent).
 	bad, badMax := -1, math.Inf(1)
 	for c := 0; c < m; c++ {
-		if w.colPiv[c] {
-			continue
-		}
-		colMax := 0.0
-		for _, v := range w.colVals[c] {
-			if a := math.Abs(v); a > colMax {
-				colMax = a
-			}
-		}
-		if colMax < badMax {
-			bad, badMax = c, colMax
+		if !w.colPiv[c] && w.colMax[c] < badMax {
+			bad, badMax = c, w.colMax[c]
 		}
 	}
 	if bad < 0 {
@@ -440,12 +591,13 @@ func (s *Solver) luRepair() error {
 	s.basis[bad] = art
 	s.pos[art] = bad
 	for _, r := range w.colRows[bad] {
-		w.rowCnt[r]--
+		w.addRowCnt(r, -1)
 	}
 	sign := s.colV[art][0]
 	w.colRows[bad] = append(w.colRows[bad][:0], int32(pick))
 	w.colVals[bad] = append(w.colVals[bad][:0], sign)
-	w.rowCnt[pick]++
+	w.colChanged(bad)
+	w.addRowCnt(int32(pick), 1)
 	if len(w.rowCols[pick]) == cap(w.rowCols[pick]) {
 		w.rowCols[pick] = w.growRowList(w.rowCols[pick])
 	}
@@ -464,7 +616,7 @@ func (s *Solver) luEliminate(pr, pc, pIdx int) {
 	w.lRows = w.lRows[:0]
 	w.lMuls = w.lMuls[:0]
 	for i, r := range w.colRows[pc] {
-		w.rowCnt[r]--
+		w.addRowCnt(r, -1)
 		if int(r) == pr {
 			continue
 		}
@@ -478,8 +630,8 @@ func (s *Solver) luEliminate(pr, pc, pIdx int) {
 	lu.lRow = append(lu.lRow, w.lRows...)
 	lu.lVal = append(lu.lVal, w.lMuls...)
 	lu.lPtr = append(lu.lPtr, int32(len(lu.lRow)))
-	w.colPiv[pc] = true
-	w.rowPiv[pr] = true
+	w.retireCol(pc)
+	w.retireRow(pr)
 	w.colRows[pc] = w.colRows[pc][:0]
 	w.colVals[pc] = w.colVals[pc][:0]
 
@@ -530,7 +682,6 @@ func (s *Solver) luUpdateColumn(q, pr int, f float64) {
 		w.wVal[r] = vals[i]
 		w.wMark[r] = st
 	}
-	w.rowCnt[pr]--
 	// Apply the elimination.
 	for t, r := range w.lRows {
 		if w.wMark[r] == st {
@@ -552,7 +703,7 @@ func (s *Solver) luUpdateColumn(q, pr int, f float64) {
 		w.wMark[r] = 0
 		//lint:ignore floatcmp exact cancellation removes the entry structurally
 		if v == 0 {
-			w.rowCnt[r]--
+			w.addRowCnt(r, -1)
 			continue
 		}
 		outR = append(outR, r)
@@ -573,7 +724,7 @@ func (s *Solver) luUpdateColumn(q, pr int, f float64) {
 		}
 		outR = append(outR, r)
 		outV = append(outV, v)
-		w.rowCnt[r]++
+		w.addRowCnt(r, 1)
 		if len(w.rowCols[r]) == cap(w.rowCols[r]) {
 			w.rowCols[r] = w.growRowList(w.rowCols[r])
 		}
@@ -581,6 +732,7 @@ func (s *Solver) luUpdateColumn(q, pr int, f float64) {
 	}
 	w.colRows[q] = outR
 	w.colVals[q] = outV
+	w.colChanged(q)
 }
 
 // ftranVec solves B u = b for a dense row-space right-hand side b (which is

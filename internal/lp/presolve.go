@@ -168,7 +168,7 @@ func newPresolver(m *Model) *presolver {
 	arena := make([]psColEntry, 0, tot)
 	for j := 0; j < nv; j++ {
 		n := int(cnt[j])
-		p.colRows[j] = arena[len(arena):len(arena):len(arena)+n]
+		p.colRows[j] = arena[len(arena) : len(arena) : len(arena)+n]
 		arena = arena[:len(arena)+n]
 	}
 	for i := range m.rows {

@@ -96,6 +96,11 @@ const (
 	kindArtificial
 )
 
+// FeasTol is the absolute primal feasibility tolerance of a solve: an
+// optimal basic solution satisfies every row and bound to within it.
+// Consumers of LP solutions derive their own accuracy allowances from it.
+const FeasTol = primalTol
+
 // Tolerances. The routing LPs are well scaled (coefficients are path counts
 // and probabilities), so fixed tolerances suffice. Every numerical epsilon
 // the solver uses is named here; call sites must not inline magic values

@@ -63,13 +63,13 @@ func (osFS) CreateTemp(dir, pattern string) (File, string, error) {
 	return f, f.Name(), nil
 }
 
-func (osFS) ReadFile(path string) ([]byte, error)        { return os.ReadFile(path) }
-func (osFS) ReadDir(path string) ([]fs.DirEntry, error)  { return os.ReadDir(path) }
-func (osFS) Stat(path string) (fs.FileInfo, error)       { return os.Stat(path) }
-func (osFS) Chmod(path string, mode os.FileMode) error   { return os.Chmod(path, mode) }
-func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(path string) error                    { return os.Remove(path) }
-func (osFS) RemoveAll(path string) error                 { return os.RemoveAll(path) }
+func (osFS) ReadFile(path string) ([]byte, error)       { return os.ReadFile(path) }
+func (osFS) ReadDir(path string) ([]fs.DirEntry, error) { return os.ReadDir(path) }
+func (osFS) Stat(path string) (fs.FileInfo, error)      { return os.Stat(path) }
+func (osFS) Chmod(path string, mode os.FileMode) error  { return os.Chmod(path, mode) }
+func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(path string) error                   { return os.Remove(path) }
+func (osFS) RemoveAll(path string) error                { return os.RemoveAll(path) }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

@@ -1,13 +1,13 @@
 #!/bin/sh
 # check.sh - the repository's full verification gate.
 #
-# Runs, in order: build, go vet, the repo's own static-analysis pass
-# (tcrlint), the unit tests under the race detector, the fault-injection
-# suites (-tags lpchaos for the solver, -tags storechaos for the storage
-# crash-consistency harness), the daemon e2e and client retry suites, the
-# online design loop (observe ingest, drift-retune e2e, restart resume,
-# plus the lpchaos re-solve-failure case), and a short fuzz smoke over the
-# fuzz targets. Any failure aborts with a nonzero exit.
+# Runs, in order: build, go vet, a gofmt check, the repo's own
+# static-analysis pass (tcrlint), the unit tests under the race detector,
+# the fault-injection suites (-tags lpchaos for the solver, -tags
+# storechaos for the storage crash-consistency harness), the daemon e2e and
+# client retry suites, the online design loop (observe ingest, drift-retune
+# e2e, restart resume, plus the lpchaos re-solve-failure case), and a short
+# fuzz smoke over the fuzz targets. Any failure aborts with a nonzero exit.
 #
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime   duration for each fuzz smoke (default 5s; "0" skips fuzzing)
@@ -21,6 +21,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l (every Go file must be gofmt-clean)"
+UNFORMATTED=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$UNFORMATTED" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w):"
+	echo "$UNFORMATTED"
+	exit 1
+fi
 
 echo "==> tcrlint -tests ./..."
 go run ./cmd/tcrlint -tests ./...
