@@ -264,8 +264,8 @@ func BenchmarkWorstCaseWorkers(b *testing.B) {
 }
 
 // BenchmarkParetoCurveWorkers measures the locality-bound design sweep
-// across worker-pool widths. Workers=1 runs the legacy shared warm-started
-// LP; workers>1 solves each locality point as an independent LP in parallel.
+// across worker-pool widths. Every width runs the same shared warm-started
+// LP; the workers only parallelize each round's Hungarian oracles.
 // k=4 keeps one iteration in seconds — the k=8 sweep needs hours per point
 // on this pure-Go simplex (see EXPERIMENTS.md) and belongs to the CLI.
 func BenchmarkParetoCurveWorkers(b *testing.B) {

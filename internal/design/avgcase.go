@@ -2,7 +2,6 @@ package design
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"tcr/internal/eval"
@@ -64,107 +63,67 @@ func (a *AvgCaseLP) Solve() (*Result, error) {
 // the generated LP is identical for every worker count.
 //
 // Per-round solves retry through the cut log like the worst-case loops, and
-// exhausted budgets degrade to the best sampled iterate; Options.Checkpoint
-// is ignored because matrix cuts carry dense patterns that do not serialize.
+// exhausted budgets degrade to the best sampled iterate. Options.Checkpoint,
+// WarmFrom and FinalSnapshot are ignored: matrix cuts carry dense patterns
+// that do not serialize.
 func (a *AvgCaseLP) SolveCtx(ctx context.Context) (*Result, error) {
 	p := a.flp
-	tol := p.opts.tol()
-	res := &Result{}
-	worstCs := make([]int, len(a.samples))
-	worsts := make([]float64, len(a.samples))
-	var bestFlow *eval.Flow
-	var bestObj, bestMean float64
-	for round := 0; round < p.opts.rounds(); round++ {
-		res.Rounds = round
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return a.degradeAvg(res, bestFlow, bestObj, err)
-		}
-		sol, err := p.solveRound(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if sol.Status == lp.IterLimit {
-			if err := ctx.Err(); errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return a.degradeAvg(res, bestFlow, bestObj,
-				fmt.Errorf("simplex budget exhausted at round %d (%s)", round, sol.Diag.Summary()))
-		}
-		if sol.Status != lp.Optimal {
-			return nil, fmt.Errorf("design: avg-case LP status %v at round %d", sol.Status, round)
-		}
-		res.Rounds = round + 1
-		res.Iterations += sol.Iterations
-		flow := p.unfold(sol.X)
-		err = p.separate(ctx, func() error {
-			return par.Do(ctx, len(a.samples), p.opts.Workers, func(i int) error {
-				if err := oracleFault(); err != nil {
+	separate := sampleSeparator(p.opts.Workers, a.samples, a.tVars, p.opts.tol(), p.unfold, p.matrixCut, oracleFault)
+	l := &cutLoop{name: "avg-case cutting planes", opts: p.opts, solve: p.solveRound, separate: separate, sampled: true}
+	return l.run(ctx)
+}
+
+// sampleSeparator is the per-sample separation shared by the average-case
+// flow and path LPs and the capacity LP (one uniform sample): each sample's
+// most loaded channel, found on workers goroutines into per-sample slots,
+// gets a cut against the sample's bound variable when it exceeds it; cuts
+// are added in sample order. The score is the mean of the maxima, the exact
+// sampled objective value of the iterate. flowOf expands an LP solution,
+// cut adds one load cut, and fault, when non-nil, is the fault-injection
+// hook called per sample.
+func sampleSeparator(workers int, samples []*traffic.Matrix, bounds []lp.VarID, tol float64,
+	flowOf func([]float64) *eval.Flow, cut func(topo.Channel, *traffic.Matrix, lp.VarID), fault func() error) separateFunc {
+	worstCs := make([]int, len(samples))
+	worsts := make([]float64, len(samples))
+	return func(ctx context.Context, sol *lp.Solution) (*eval.Flow, float64, bool, error) {
+		flow := flowOf(sol.X)
+		err := par.Do(ctx, len(samples), workers, func(i int) error {
+			if fault != nil {
+				if err := fault(); err != nil {
 					return err
 				}
-				loads := flow.ChannelLoads(a.samples[i])
-				worstC, worst := 0, 0.0
-				for c, l := range loads {
-					if l > worst {
-						worst, worstC = l, c
-					}
-				}
-				worstCs[i], worsts[i] = worstC, worst
-				return nil
-			})
+			}
+			worstCs[i], worsts[i] = maxLoad(flow.ChannelLoads(samples[i]))
+			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, 0, false, err
 		}
-		// The sampled mean of the exact per-sample maxima is the true
-		// objective value of this iterate; track the best for degradation.
 		mean := 0.0
 		for _, w := range worsts {
 			mean += w
 		}
-		mean /= float64(len(a.samples))
-		if bestFlow == nil || mean < bestMean {
-			bestFlow, bestObj, bestMean = flow, mean, mean
-		}
 		violated := false
-		for i, lam := range a.samples {
-			if worsts[i] > sol.X[a.tVars[i]]+tol {
-				p.matrixCut(topo.Channel(worstCs[i]), lam, a.tVars[i])
+		for i, lam := range samples {
+			if worsts[i] > sol.X[bounds[i]]+tol {
+				cut(topo.Channel(worstCs[i]), lam, bounds[i])
 				violated = true
 			}
 		}
-		if !violated {
-			res.Flow = flow
-			res.Objective = sol.Objective
-			res.Certified = true
-			res.GammaWC, _, err = flow.WorstCaseCtx(ctx, p.opts.Workers)
-			if err != nil {
-				return nil, err
-			}
-			res.HAvg = flow.HAvg()
-			res.HNorm = flow.HNorm()
-			return res, nil
-		}
+		return flow, mean / float64(len(samples)), violated, nil
 	}
-	res.Rounds = p.opts.rounds()
-	return a.degradeAvg(res, bestFlow, bestObj,
-		fmt.Errorf("avg-case cutting planes did not converge in %d rounds", p.opts.rounds()))
 }
 
-// degradeAvg is the average-case degradation path: the best iterate's exact
-// worst case is re-evaluated off the (possibly expired) solve context, since
-// unlike the worst-case loops no oracle has computed it along the way.
-func (a *AvgCaseLP) degradeAvg(res *Result, flow *eval.Flow, obj float64, cause error) (*Result, error) {
-	if flow == nil {
-		return degrade(res, nil, 0, 0, cause)
+// maxLoad returns the most loaded channel and its load (channel 0 and 0
+// when nothing is loaded).
+func maxLoad(loads []float64) (int, float64) {
+	worstC, worst := 0, 0.0
+	for c, l := range loads {
+		if l > worst {
+			worst, worstC = l, c
+		}
 	}
-	gw, _, err := flow.WorstCaseCtx(context.Background(), a.flp.opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return degrade(res, flow, obj, gw, cause)
+	return worstC, worst
 }
 
 // AvgCaseOptimal minimizes the sampled mean maximum channel load with no
@@ -199,47 +158,13 @@ func AvgCaseParetoCurve(t topo.Topology, samples []*traffic.Matrix, hNorms []flo
 }
 
 // AvgCaseParetoCurveCtx sweeps locality under a cancellation context. As
-// with WorstCaseParetoCurveCtx, Options.Workers 1 keeps the historical
-// single-LP sweep (sample cuts stay valid across L); any other worker count
-// solves the points as independent LPs concurrently, ordered by hNorms
-// index in the result.
+// with WorstCaseParetoCurveCtx, one LP is shared across the points (sample
+// cuts stay valid across L) and Options.Workers parallelizes only the
+// per-sample oracles. The point's Gamma is the mean max load; its
+// reciprocal approximates the average throughput (equation 9).
 func AvgCaseParetoCurveCtx(ctx context.Context, t topo.Topology, samples []*traffic.Matrix, hNorms []float64, opts Options) ([]ParetoPoint, error) {
-	cap := eval.NetworkCapacity(t)
-	if par.Workers(opts.Workers) > 1 {
-		out := make([]ParetoPoint, len(hNorms))
-		err := par.Do(ctx, len(hNorms), opts.Workers, func(i int) error {
-			h := hNorms[i]
-			popts := opts
-			popts.Workers = 1
-			res, err := AvgCaseAtLocalityCtx(ctx, t, samples, h, popts)
-			if err != nil {
-				return fmt.Errorf("L=%v: %w", h, err)
-			}
-			if !res.Certified {
-				return fmt.Errorf("L=%v: %w: %s", h, ErrUncertified, res.Reason)
-			}
-			out[i] = ParetoPoint{HNorm: h, Theta: (1 / res.Objective) / cap, Gamma: res.Objective}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	a := NewAvgCaseLP(t, samples, true, opts)
-	out := make([]ParetoPoint, 0, len(hNorms))
-	for _, h := range hNorms {
-		a.SetLocality(h)
-		res, err := a.SolveCtx(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("L=%v: %w", h, err)
-		}
-		if !res.Certified {
-			return nil, fmt.Errorf("L=%v: %w: %s", h, ErrUncertified, res.Reason)
-		}
-		// Objective is the mean max load; its reciprocal approximates the
-		// average throughput (equation 9).
-		out = append(out, ParetoPoint{HNorm: h, Theta: (1 / res.Objective) / cap, Gamma: res.Objective})
-	}
-	return out, nil
+	return sweep(t, hNorms, a.SetLocality,
+		func() (*Result, error) { return a.SolveCtx(ctx) },
+		func(res *Result) float64 { return res.Objective })
 }

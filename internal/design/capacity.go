@@ -1,6 +1,7 @@
 package design
 
 import (
+	"context"
 	"fmt"
 
 	"tcr/internal/lp"
@@ -14,50 +15,27 @@ import (
 // routing), so this LP mainly serves as an end-to-end check of the flow
 // machinery and as the capacity normalizer for arbitrary experiments.
 // Per-channel constraints are generated lazily, exactly like the
-// average-case problem with the single uniform "sample".
+// average-case problem with the single uniform "sample"; like it, an
+// exhausted budget degrades to the best iterate.
 func Capacity(t topo.Topology, opts Options) (*Result, error) {
 	p := NewFlowLP(t, false, opts)
-	u := traffic.Uniform(t.Nodes())
-	tol := opts.tol()
-	res := &Result{}
-	for round := 0; round < opts.rounds(); round++ {
-		sol, err := p.solver.Solve()
-		if err != nil {
-			return nil, err
-		}
-		if sol.Status != lp.Optimal {
-			return nil, fmt.Errorf("design: capacity LP status %v", sol.Status)
-		}
-		res.Rounds = round + 1
-		res.Iterations += sol.Iterations
-		flow := p.unfold(sol.X)
-		loads := flow.ChannelLoads(u)
-		worstC, worst := 0, 0.0
-		for c, l := range loads {
-			if l > worst {
-				worst, worstC = l, c
-			}
-		}
-		if worst <= sol.X[p.wVar]+tol {
-			res.Flow = flow
-			res.Objective = sol.Objective
-			res.GammaWC, _ = flow.WorstCase()
-			res.HAvg = flow.HAvg()
-			res.HNorm = flow.HNorm()
-			return res, nil
-		}
-		p.matrixCut(topo.Channel(worstC), u, p.wVar)
-	}
-	return nil, fmt.Errorf("design: capacity LP did not converge in %d rounds", opts.rounds())
+	u := []*traffic.Matrix{traffic.Uniform(t.Nodes())}
+	separate := sampleSeparator(opts.Workers, u, []lp.VarID{p.wVar}, opts.tol(), p.unfold, p.matrixCut, nil)
+	l := &cutLoop{name: "capacity LP", opts: opts, solve: p.solveRound, separate: separate, sampled: true}
+	return l.run(context.Background())
 }
 
 // NetworkCapacityLP returns the LP-computed network capacity (throughput
 // under uniform traffic at the optimal routing), which must agree with the
-// closed-form eval.NetworkCapacity on tori.
+// closed-form eval.NetworkCapacity on tori. An uncertified LP is an error
+// wrapping ErrUncertified, never a guessed capacity.
 func NetworkCapacityLP(t topo.Topology, opts Options) (float64, error) {
 	res, err := Capacity(t, opts)
 	if err != nil {
 		return 0, err
+	}
+	if !res.Certified {
+		return 0, fmt.Errorf("%w: %s", ErrUncertified, res.Reason)
 	}
 	return 1 / res.Objective, nil
 }

@@ -24,9 +24,9 @@ func TestChaosRetryRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q := newPotentialLP(tor, false, Options{})
-	q.solver.SetChaos(&lp.ChaosScript{Seed: 3, FailFactor: 1 << 20})
-	res, err := q.solve(context.Background(), math.NaN())
+	p := newPotentialLP(tor, false, Options{})
+	p.solver.SetChaos(&lp.ChaosScript{Seed: 3, FailFactor: 1 << 20})
+	res, err := p.solveWorstCase(context.Background(), math.NaN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +44,9 @@ func TestChaosRetryRebuild(t *testing.T) {
 // LP's diagnosed numerical error instead of being retried.
 func TestChaosRetryDisabled(t *testing.T) {
 	tor := topo.NewTorus(4)
-	q := newPotentialLP(tor, false, Options{Retries: -1})
-	q.solver.SetChaos(&lp.ChaosScript{Seed: 3, FailFactor: 1 << 20})
-	_, err := q.solve(context.Background(), math.NaN())
+	p := newPotentialLP(tor, false, Options{Retries: -1})
+	p.solver.SetChaos(&lp.ChaosScript{Seed: 3, FailFactor: 1 << 20})
+	_, err := p.solveWorstCase(context.Background(), math.NaN())
 	if !errors.Is(err, lp.ErrNumerical) {
 		t.Fatalf("err = %v, want ErrNumerical", err)
 	}
@@ -57,7 +57,7 @@ func TestChaosRetryDisabled(t *testing.T) {
 }
 
 // TestChaosOracleRetry: injected separation-oracle faults are absorbed by
-// the separate() retry loop (the oracle is stateless).
+// the cut driver's oracle retry loop (the oracle is stateless).
 func TestChaosOracleRetry(t *testing.T) {
 	tor := topo.NewTorus(4)
 	SetOracleFaults(2)

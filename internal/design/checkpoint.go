@@ -101,16 +101,21 @@ func (p *FlowLP) sig() string {
 		checkpointVersion, id, p.fold, p.opts.Cuts, p.ckptStage, p.opts.tol(), loc)
 }
 
-// writeCheckpoint snapshots the loop after `round` completed rounds. The
+// writeSnapshot seals the loop's state after `round` completed rounds into
+// path (a no-op when path is empty): the periodic Options.Checkpoint and
+// the Options.FinalSnapshot written on certification share this layout.
+// A final snapshot's Round/Iters record the certified run's totals, which
+// are informational: a warm start restarts the round count at zero. The
 // RefreshFactors barrier before capturing the basis is what makes the live
 // continuation and a later restore numerically identical. Logs with
-// non-serializable entries (average-case matrix cuts) are skipped.
-func (p *FlowLP) writeCheckpoint(round, iters int) error {
-	if p.opts.Checkpoint == "" || !p.serializable() {
+// non-serializable entries (average-case matrix cuts) are skipped; what
+// names the file in errors.
+func (p *FlowLP) writeSnapshot(path, what string, round, iters int) error {
+	if path == "" || !p.serializable() {
 		return nil
 	}
 	if err := p.solver.RefreshFactors(); err != nil {
-		return fmt.Errorf("design: checkpoint barrier: %w", err)
+		return fmt.Errorf("design: %s barrier: %w", what, err)
 	}
 	ck := checkpoint{
 		Sig:     p.sig(),
@@ -126,35 +131,36 @@ func (p *FlowLP) writeCheckpoint(round, iters int) error {
 	}
 	data, err := ck.seal()
 	if err != nil {
-		return fmt.Errorf("design: checkpoint encode: %w", err)
+		return fmt.Errorf("design: %s encode: %w", what, err)
 	}
-	if err := os.MkdirAll(filepath.Dir(p.opts.Checkpoint), 0o755); err != nil {
-		return fmt.Errorf("design: checkpoint dir: %w", err)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("design: %s dir: %w", what, err)
 	}
 	// Temp + fsync + rename + directory sync: a crash mid-write leaves the
-	// previous checkpoint intact, never a torn file.
-	if err := store.WriteFileAtomic(p.opts.Checkpoint, data, 0o644); err != nil {
-		return fmt.Errorf("design: checkpoint write: %w", err)
+	// previous file intact, never a torn one.
+	if err := store.WriteFileAtomic(path, data, 0o644); err != nil {
+		return fmt.Errorf("design: %s write: %w", what, err)
 	}
 	return nil
 }
 
-// restoreCheckpoint loads and installs a matching checkpoint, returning the
-// round to resume from and the pivots already spent. ok is false — and the
-// loop starts from scratch — when no usable checkpoint exists (missing or
-// unreadable file, failed integrity hash, signature mismatch, corrupt
-// basis). A restore that
-// fails midway rolls the solver back to its fresh pre-restore state.
-func (p *FlowLP) restoreCheckpoint() (round, iters int, ok bool) {
-	if p.opts.Checkpoint == "" {
+// installSnapshot loads the snapshot at path and, when its signature passes
+// match, replays its cuts onto a fresh solver and installs its basis,
+// at-upper set and pricing cursor, returning the recorded round and pivot
+// counts. ok is false — and the solver untouched — when no usable snapshot
+// exists (empty path, missing or unreadable file, failed integrity hash,
+// signature mismatch, foreign cut entries, corrupt basis). A restore that
+// fails midway rolls the solver back to its pre-restore state.
+func (p *FlowLP) installSnapshot(path string, match func(sig string) bool) (round, iters int, ok bool) {
+	if path == "" {
 		return 0, 0, false
 	}
-	data, err := os.ReadFile(p.opts.Checkpoint)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, false
 	}
 	var ck checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil || !ck.verify() || ck.Sig != p.sig() {
+	if err := json.Unmarshal(data, &ck); err != nil || !ck.verify() || !match(ck.Sig) {
 		return 0, 0, false
 	}
 	for _, e := range ck.Cuts {
@@ -167,18 +173,25 @@ func (p *FlowLP) restoreCheckpoint() (round, iters int, ok bool) {
 	p.rebuildSolver()
 	// The at-upper set must be in place before InstallBasis: the basic
 	// values it recomputes depend on which nonbasic columns sit at bounds.
-	if err := p.solver.SetAtUpperSet(ck.AtUpper); err != nil {
-		p.cutLog = savedLog
-		p.rebuildSolver()
-		return 0, 0, false
+	err = p.solver.SetAtUpperSet(ck.AtUpper)
+	if err == nil {
+		err = p.solver.InstallBasis(ck.Basis)
 	}
-	if err := p.solver.InstallBasis(ck.Basis); err != nil {
+	if err != nil {
 		p.cutLog = savedLog
 		p.rebuildSolver()
 		return 0, 0, false
 	}
 	p.solver.SetPricingCursor(ck.Cursor)
 	return ck.Round, ck.Iters, true
+}
+
+// restoreCheckpoint resumes from an Options.Checkpoint whose signature
+// matches this run exactly, returning the round to resume from and the
+// pivots already spent; ok is false when the loop must start from scratch.
+func (p *FlowLP) restoreCheckpoint() (round, iters int, ok bool) {
+	sig := p.sig()
+	return p.installSnapshot(p.opts.Checkpoint, func(s string) bool { return s == sig })
 }
 
 // stripLoc removes the locality component from a checkpoint signature.
@@ -193,85 +206,18 @@ func stripLoc(sig string) string {
 	return sig
 }
 
-// writeFinalSnapshot persists the cut loop's state at certification to
-// Options.FinalSnapshot for a later run to warm-start from. Same layout and
-// integrity seal as a checkpoint; Round/Iters record the certified run's
-// totals (informational — a warm start restarts the round count at zero).
-func (p *FlowLP) writeFinalSnapshot(round, iters int) error {
-	if p.opts.FinalSnapshot == "" || !p.serializable() {
-		return nil
-	}
-	if err := p.solver.RefreshFactors(); err != nil {
-		return fmt.Errorf("design: final-snapshot barrier: %w", err)
-	}
-	ck := checkpoint{
-		Sig:     p.sig(),
-		Round:   round,
-		Iters:   iters,
-		Cuts:    p.cutLog,
-		Basis:   p.solver.Basis(),
-		Cursor:  p.solver.PricingCursor(),
-		AtUpper: p.solver.AtUpperSet(),
-	}
-	if ck.Cuts == nil {
-		ck.Cuts = []cutEntry{}
-	}
-	data, err := ck.seal()
-	if err != nil {
-		return fmt.Errorf("design: final-snapshot encode: %w", err)
-	}
-	if err := os.MkdirAll(filepath.Dir(p.opts.FinalSnapshot), 0o755); err != nil {
-		return fmt.Errorf("design: final-snapshot dir: %w", err)
-	}
-	if err := store.WriteFileAtomic(p.opts.FinalSnapshot, data, 0o644); err != nil {
-		return fmt.Errorf("design: final-snapshot write: %w", err)
-	}
-	return nil
-}
-
 // restoreWarmStart installs the Options.WarmFrom snapshot into a fresh cut
-// loop: replay the prior run's cuts, install its basis, at-upper set, and
-// pricing cursor, then re-aim the locality row (if any) at this run's
-// target — the recorded locality retargets are replayed as-is and the fresh
-// retarget, appended through the cut log, overwrites them exactly as a
-// Pareto sweep's SetLocality does. The signature must match up to the
-// locality component; anything unusable (torn file, failed integrity hash,
-// foreign formulation, corrupt basis) means a cold start, never a wrong
-// warm one. ok is informational; callers may ignore it.
+// loop, then re-aims the locality row (if any) at this run's target — the
+// recorded locality retargets are replayed as-is and the fresh retarget,
+// appended through the cut log, overwrites them exactly as a Pareto sweep's
+// SetLocality does. The signature must match up to the locality component;
+// anything unusable means a cold start, never a wrong warm one. ok is
+// informational; callers may ignore it.
 func (p *FlowLP) restoreWarmStart() (ok bool) {
-	if p.opts.WarmFrom == "" {
+	sig := stripLoc(p.sig())
+	if _, _, ok := p.installSnapshot(p.opts.WarmFrom, func(s string) bool { return stripLoc(s) == sig }); !ok {
 		return false
 	}
-	data, err := os.ReadFile(p.opts.WarmFrom)
-	if err != nil {
-		return false
-	}
-	var ck checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil || !ck.verify() {
-		return false
-	}
-	if stripLoc(ck.Sig) != stripLoc(p.sig()) {
-		return false
-	}
-	for _, e := range ck.Cuts {
-		if e.Kind == cutMatrix || (e.Kind == cutPair && (e.Block < 0 || e.Block >= len(p.blocks))) {
-			return false
-		}
-	}
-	savedLog := p.cutLog
-	p.cutLog = append([]cutEntry(nil), ck.Cuts...)
-	p.rebuildSolver()
-	if err := p.solver.SetAtUpperSet(ck.AtUpper); err != nil {
-		p.cutLog = savedLog
-		p.rebuildSolver()
-		return false
-	}
-	if err := p.solver.InstallBasis(ck.Basis); err != nil {
-		p.cutLog = savedLog
-		p.rebuildSolver()
-		return false
-	}
-	p.solver.SetPricingCursor(ck.Cursor)
 	if p.hasH {
 		p.record(cutEntry{Kind: cutLoc, Val: p.locNorm})
 	}

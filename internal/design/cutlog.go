@@ -150,26 +150,3 @@ func (p *FlowLP) solveRound(ctx context.Context) (*lp.Solution, error) {
 	}
 	return nil, lastErr
 }
-
-// separate runs a cutting-plane round's separation step (the Hungarian
-// oracles) with the same retry policy: oracle failures are retried after a
-// backoff, since the oracle is stateless. Context errors abort immediately.
-func (p *FlowLP) separate(ctx context.Context, f func() error) error {
-	var lastErr error
-	for attempt := 0; attempt <= p.opts.retries(); attempt++ {
-		if attempt > 0 {
-			if err := sleepBackoff(ctx, attempt-1); err != nil {
-				return err
-			}
-		}
-		err := f()
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return err
-		}
-		lastErr = err
-	}
-	return lastErr
-}

@@ -110,13 +110,12 @@ type Options struct {
 	MaxRounds int
 	// Tol is the relative convergence tolerance (default 1e-6).
 	Tol float64
-	// Workers bounds the engine's parallelism: the per-channel Hungarian
-	// oracles run concurrently, and the Pareto sweeps solve their
-	// per-point LPs on this many goroutines. 0 means all cores
-	// (GOMAXPROCS). 1 reproduces the sequential behaviour bit for bit —
-	// in particular, Pareto sweeps at Workers 1 share one warm-started LP
-	// across the whole sweep exactly as the pre-parallel engine did,
-	// while Workers > 1 solves one independent LP per point.
+	// Workers bounds the separation oracles' parallelism: the
+	// per-channel Hungarian matchings and the per-sample load scans of a
+	// cutting-plane round run on this many goroutines. 0 means all cores
+	// (GOMAXPROCS). Cuts are added in a fixed order afterwards, so every
+	// worker count produces the same result bit for bit. Pareto sweeps
+	// always share one warm-started LP across their points.
 	Workers int
 	// Slack is the stage-2 slack on the optimal first-stage objective
 	// used by the lexicographic (throughput-then-locality) designs; it
@@ -129,11 +128,12 @@ type Options struct {
 	// exponential backoff. 0 selects the default of 2; negative disables
 	// retries.
 	Retries int
-	// Checkpoint, when non-empty, is a file path the worst-case cut loops
-	// snapshot their state to (accumulated cuts, simplex basis, pricing
-	// cursor), so a killed run restarted with the same path resumes bit
-	// for bit instead of recomputing. See checkpoint.go for the exact
-	// resume semantics. Average-case loops ignore it.
+	// Checkpoint, when non-empty, is a file path the worst-case flow-LP
+	// cut loops snapshot their state to (accumulated cuts, simplex basis,
+	// pricing cursor), so a killed run restarted with the same path
+	// resumes bit for bit instead of recomputing. See checkpoint.go for the
+	// exact resume semantics. The average-case, capacity and path-LP loops
+	// ignore it, as they ignore WarmFrom and FinalSnapshot.
 	Checkpoint string
 	// CheckpointEvery is the snapshot cadence in cutting-plane rounds
 	// (default 1: every round).
@@ -519,137 +519,123 @@ type Result struct {
 	Reason string
 }
 
-// degrade packages the best iterate seen so far as an uncertified Result
-// when a budget (rounds, simplex pivots, deadline) runs out. With no
-// feasible iterate to fall back on, the cause surfaces as an error wrapping
-// ErrUncertified. Any checkpoint is left in place so the run can be resumed
-// with a larger budget.
-func degrade(res *Result, flow *eval.Flow, obj, gammaWC float64, cause error) (*Result, error) {
-	if flow == nil {
-		return nil, fmt.Errorf("%w: %v", ErrUncertified, cause)
+// newWorstCaseLP builds the worst-case LP of the Options.Cuts strategy.
+func newWorstCaseLP(t topo.Topology, withLocality bool, opts Options) *FlowLP {
+	if opts.Cuts == CutPermutations {
+		return NewFlowLP(t, withLocality, opts)
 	}
-	res.Flow = flow
-	res.Objective = obj
-	res.GammaWC = gammaWC
-	res.HAvg = flow.HAvg()
-	res.HNorm = flow.HNorm()
-	res.Certified = false
-	res.Reason = cause.Error()
-	return res, nil
+	return newPotentialLP(t, withLocality, opts)
 }
 
-// solveWorstCase runs the cutting-plane loop on the current LP state:
-// minimize the current objective subject to flow constraints and generated
-// permutation cuts, until the Hungarian oracle certifies that no permutation
-// loads any channel beyond the LP's bound variable by more than tol.
-//
-// The per-representative Hungarian oracles are independent and run on
-// Options.Workers goroutines; cuts are then added sequentially in
-// representative order, so the generated LP -- and hence the solve
-// trajectory -- is identical for every worker count.
-func (p *FlowLP) solveWorstCase(ctx context.Context) (*Result, error) {
-	tol := p.opts.tol()
-	var last *lp.Solution
-	res := &Result{}
-	perms := make([][]int, len(p.seps))
-	gammas := make([]float64, len(p.seps))
-	startRound := 0
-	if r, it, ok := p.restoreCheckpoint(); ok {
-		startRound, res.Iterations = r, it
-	} else {
-		p.restoreWarmStart()
+// solveWorstCase runs the worst-case cut loop on the current LP state until
+// the Hungarian oracle certifies that no permutation loads any
+// representative channel beyond the bound by more than tol. The bound is
+// the LP's w when fixedBound is NaN; the lexicographic stage 2 passes the
+// fixed stage-1 cap instead. The pure cutting-plane formulation adds one
+// worst-permutation row per violated representative; the potential LP (8)
+// adds the permutation row plus the most violated lazy pair rows.
+func (p *FlowLP) solveWorstCase(ctx context.Context, fixedBound float64) (*Result, error) {
+	l := &cutLoop{name: "cutting planes", opts: p.opts, solve: p.solveRound, separate: p.worstCaseOracle(fixedBound), ckpt: p}
+	if p.blocks != nil {
+		l.name, l.lastRoundIters = "potential LP", true
 	}
-	// The best iterate so far — the one with the smallest exact
-	// (oracle-evaluated) worst-case load — backs graceful degradation.
-	var bestFlow *eval.Flow
-	var bestObj, bestGW float64
-	for round := startRound; round < p.opts.rounds(); round++ {
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return degrade(res, bestFlow, bestObj, bestGW, err)
-		}
-		sol, err := p.solveRound(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if sol.Status == lp.IterLimit {
-			if err := ctx.Err(); errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return degrade(res, bestFlow, bestObj, bestGW,
-				fmt.Errorf("simplex budget exhausted at round %d (%s)", round, sol.Diag.Summary()))
-		}
-		if sol.Status != lp.Optimal {
-			return nil, fmt.Errorf("design: LP status %v at round %d", sol.Status, round)
-		}
-		last = sol
-		res.Rounds = round + 1
-		res.Iterations += sol.Iterations
-		flow := p.unfold(sol.X)
-		w := sol.X[p.wVar]
+	return l.run(ctx)
+}
 
-		// Separation: worst permutation per channel-orbit representative of
-		// the translation subgroup (translation invariance covers the rest;
-		// without it, every channel is its own representative).
-		err = p.separate(ctx, func() error {
-			return par.Do(ctx, len(p.seps), p.opts.Workers, func(i int) error {
-				if err := oracleFault(); err != nil {
-					return err
-				}
-				perm, g, err := matching.MaxWeightAssignment(pairLoadMatrix(flow, p.seps[i]))
-				if err != nil {
-					return err
-				}
-				perms[i], gammas[i] = perm, g
-				return nil
-			})
-		})
+// worstCaseOracle is the worst-case loops' separation step: the worst
+// permutation per channel-orbit representative (translation invariance, or
+// the full-group symmetry rows, cover the rest). The per-representative
+// oracles run on Options.Workers goroutines; cuts are then added in
+// representative order, so the cut sequence is identical for every worker
+// count.
+//
+// Under the potential formulation on vertex-transitive families only the
+// worst-violated representative is fed each round: the symmetry-folded
+// blocks are near-copies, and feeding them all multiplies the LP for no
+// information. One aggregate permutation cut moves the bound immediately;
+// the pair rows supply the matching-dual structure. Without translation
+// symmetry every channel is its own block and the blocks are genuinely
+// independent, so starving all but the worst one would multiply the round
+// count by the channel count; there, as in the pure cutting-plane
+// formulation, every violated representative is fed.
+func (p *FlowLP) worstCaseOracle(fixedBound float64) separateFunc {
+	tol := p.opts.tol()
+	o := newRepOracle(p.seps)
+	feedAll := p.blocks == nil || !p.T.VertexTransitive()
+	return func(ctx context.Context, sol *lp.Solution) (*eval.Flow, float64, bool, error) {
+		flow := p.unfold(sol.X)
+		gw, err := o.run(ctx, p.opts.Workers, flow, oracleFault)
 		if err != nil {
-			return nil, err
+			return nil, 0, false, err
 		}
-		gw := gammas[0]
-		for _, g := range gammas[1:] {
-			gw = math.Max(gw, g)
+		bound := fixedBound
+		if math.IsNaN(bound) {
+			bound = sol.X[p.wVar]
 		}
-		if bestFlow == nil || gw < bestGW {
-			bestFlow, bestObj, bestGW = flow, sol.Objective, gw
-		}
-		violated := false
-		for i := range p.seps {
-			if gammas[i] > w+tol*math.Max(1, w) {
-				p.permCut(p.seps[i], perms[i], p.wVar)
-				violated = true
+		limit := bound + tol*math.Max(1, bound)
+		worst, worstG := -1, limit
+		for i, g := range o.gammas {
+			if g > worstG {
+				worstG, worst = g, i
 			}
 		}
-		if !violated {
-			res.Flow = flow
-			res.Objective = last.Objective
-			res.Certified = true
-			var err error
-			res.GammaWC, _, err = flow.WorstCaseCtx(ctx, p.opts.Workers)
-			if err != nil {
-				return nil, err
+		for i, ch := range p.seps {
+			if o.gammas[i] <= limit || (!feedAll && i != worst) {
+				continue
 			}
-			res.HAvg = flow.HAvg()
-			res.HNorm = flow.HNorm()
-			if err := p.writeFinalSnapshot(res.Rounds, res.Iterations); err != nil {
-				return nil, err
-			}
-			if err := p.clearCheckpoint(); err != nil {
-				return nil, err
-			}
-			return res, nil
-		}
-		if (round+1)%p.opts.ckptEvery() == 0 {
-			if err := p.writeCheckpoint(round+1, res.Iterations); err != nil {
-				return nil, err
+			p.permCut(ch, o.perms[i], p.wVar)
+			if p.blocks != nil {
+				b := p.blocks[i]
+				for _, idx := range violatedPairs(p.n, b, sol.X, o.loads[i], tol, maxRowsPerBlockRound) {
+					p.pairRow(b, idx/p.n, idx%p.n)
+				}
 			}
 		}
+		return flow, gw, worst >= 0, nil
 	}
-	return degrade(res, bestFlow, bestObj, bestGW,
-		fmt.Errorf("cutting planes did not converge in %d rounds", p.opts.rounds()))
+}
+
+// repOracle is one round's exact separation over a set of representative
+// channels: each channel's pair-load matrix and its Hungarian maximum-weight
+// matching, i.e. the worst permutation and its load on that channel.
+type repOracle struct {
+	chans  []topo.Channel
+	loads  [][][]float64
+	perms  [][]int
+	gammas []float64
+}
+
+func newRepOracle(chans []topo.Channel) *repOracle {
+	n := len(chans)
+	return &repOracle{chans: chans, loads: make([][][]float64, n), perms: make([][]int, n), gammas: make([]float64, n)}
+}
+
+// run evaluates every representative on workers goroutines into its own
+// slot and returns the worst load over all of them. fault, when non-nil, is
+// the fault-injection hook called before each matching.
+func (o *repOracle) run(ctx context.Context, workers int, flow *eval.Flow, fault func() error) (float64, error) {
+	err := par.Do(ctx, len(o.chans), workers, func(i int) error {
+		if fault != nil {
+			if err := fault(); err != nil {
+				return err
+			}
+		}
+		o.loads[i] = pairLoadMatrix(flow, o.chans[i])
+		perm, g, err := matching.MaxWeightAssignment(o.loads[i])
+		if err != nil {
+			return err
+		}
+		o.perms[i], o.gammas[i] = perm, g
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	gw := o.gammas[0]
+	for _, g := range o.gammas[1:] {
+		gw = math.Max(gw, g)
+	}
+	return gw, nil
 }
 
 // pairLoadMatrix mirrors eval's internal pair-load matrix for the oracle:
@@ -694,12 +680,7 @@ func WorstCaseOptimal(t topo.Topology, opts Options) (*Result, error) {
 // WorstCaseOptimalCtx is WorstCaseOptimal under a cancellation context: the
 // solve aborts between cutting-plane rounds once ctx is done.
 func WorstCaseOptimalCtx(ctx context.Context, t topo.Topology, opts Options) (*Result, error) {
-	if opts.Cuts == CutPermutations {
-		p := NewFlowLP(t, false, opts)
-		return p.solveWorstCase(ctx)
-	}
-	q := newPotentialLP(t, false, opts)
-	return q.solve(ctx, math.NaN())
+	return newWorstCaseLP(t, false, opts).solveWorstCase(ctx, math.NaN())
 }
 
 // WorstCaseAtLocality designs the best worst-case routing function whose
@@ -711,14 +692,9 @@ func WorstCaseAtLocality(t topo.Topology, hNorm float64, opts Options) (*Result,
 
 // WorstCaseAtLocalityCtx is WorstCaseAtLocality under a cancellation context.
 func WorstCaseAtLocalityCtx(ctx context.Context, t topo.Topology, hNorm float64, opts Options) (*Result, error) {
-	if opts.Cuts == CutPermutations {
-		p := NewFlowLP(t, true, opts)
-		p.SetLocality(hNorm)
-		return p.solveWorstCase(ctx)
-	}
-	q := newPotentialLP(t, true, opts)
-	q.SetLocality(hNorm)
-	return q.solve(ctx, math.NaN())
+	p := newWorstCaseLP(t, true, opts)
+	p.SetLocality(hNorm)
+	return p.solveWorstCase(ctx, math.NaN())
 }
 
 // ParetoPoint is one sample of an optimal tradeoff curve.
@@ -739,14 +715,11 @@ func WorstCaseParetoCurve(t topo.Topology, hNorms []float64, opts Options) ([]Pa
 }
 
 // WorstCaseParetoCurveCtx sweeps the locality constraint over hNorms under a
-// cancellation context. At Options.Workers 1 the sweep reuses one LP (and
-// its accumulated cuts -- permutation constraints are valid for every L)
-// across the points, exactly as the sequential engine always has. At any
-// other worker count the points are independent LPs solved concurrently;
-// the returned slice is ordered by hNorms index either way. Both strategies
-// converge to the same optima within the LP tolerance, but the warm-started
-// sequential sweep and the independent solves may differ in the last few
-// ulps of each point.
+// cancellation context. The sweep reuses one LP, and its accumulated cuts
+// (permutation constraints are valid for every L), across the points in
+// order, re-aiming only the locality row; Options.Workers parallelizes the
+// oracles inside each point, so every worker count returns the same points
+// bit for bit.
 func WorstCaseParetoCurveCtx(ctx context.Context, t topo.Topology, hNorms []float64, opts Options) ([]ParetoPoint, error) {
 	// Sweeps cannot degrade gracefully (a curve with silently uncertified
 	// points is worse than no curve) and must not share one checkpoint
@@ -755,57 +728,29 @@ func WorstCaseParetoCurveCtx(ctx context.Context, t topo.Topology, hNorms []floa
 	// hazard disables the warm-start snapshot paths.
 	opts.Checkpoint = ""
 	opts.WarmFrom, opts.FinalSnapshot = "", ""
+	p := newWorstCaseLP(t, true, opts)
+	return sweep(t, hNorms, p.SetLocality,
+		func() (*Result, error) { return p.solveWorstCase(ctx, math.NaN()) },
+		func(res *Result) float64 { return res.GammaWC })
+}
+
+// sweep solves one Pareto point per locality target, in order, on a shared
+// warm-started LP: retarget moves the LP's locality row, solve certifies
+// the point, and gamma reads its optimal load off the result.
+func sweep(t topo.Topology, hNorms []float64, retarget func(float64), solve func() (*Result, error), gamma func(*Result) float64) ([]ParetoPoint, error) {
 	cap := eval.NetworkCapacity(t)
-	if par.Workers(opts.Workers) > 1 {
-		out := make([]ParetoPoint, len(hNorms))
-		err := par.Do(ctx, len(hNorms), opts.Workers, func(i int) error {
-			h := hNorms[i]
-			// Each point owns its LP; the oracle inside it stays
-			// sequential so the pool is not oversubscribed.
-			popts := opts
-			popts.Workers = 1
-			res, err := WorstCaseAtLocalityCtx(ctx, t, h, popts)
-			if err != nil {
-				return fmt.Errorf("L=%v: %w", h, err)
-			}
-			if !res.Certified {
-				return fmt.Errorf("L=%v: %w: %s", h, ErrUncertified, res.Reason)
-			}
-			out[i] = ParetoPoint{HNorm: h, Theta: (1 / res.GammaWC) / cap, Gamma: res.GammaWC}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	out := make([]ParetoPoint, 0, len(hNorms))
-	if opts.Cuts == CutPermutations {
-		p := NewFlowLP(t, true, opts)
-		for _, h := range hNorms {
-			p.SetLocality(h)
-			res, err := p.solveWorstCase(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("L=%v: %w", h, err)
-			}
-			if !res.Certified {
-				return nil, fmt.Errorf("L=%v: %w: %s", h, ErrUncertified, res.Reason)
-			}
-			out = append(out, ParetoPoint{HNorm: h, Theta: (1 / res.GammaWC) / cap, Gamma: res.GammaWC})
-		}
-		return out, nil
-	}
-	q := newPotentialLP(t, true, opts)
 	for _, h := range hNorms {
-		q.SetLocality(h)
-		res, err := q.solve(ctx, math.NaN())
+		retarget(h)
+		res, err := solve()
 		if err != nil {
 			return nil, fmt.Errorf("L=%v: %w", h, err)
 		}
 		if !res.Certified {
 			return nil, fmt.Errorf("L=%v: %w: %s", h, ErrUncertified, res.Reason)
 		}
-		out = append(out, ParetoPoint{HNorm: h, Theta: (1 / res.GammaWC) / cap, Gamma: res.GammaWC})
+		g := gamma(res)
+		out = append(out, ParetoPoint{HNorm: h, Theta: (1 / g) / cap, Gamma: g})
 	}
 	return out, nil
 }
@@ -821,8 +766,8 @@ func MinLocalityAtWorstCase(t topo.Topology, opts Options) (*Result, error) {
 // MinLocalityAtWorstCaseCtx is MinLocalityAtWorstCase under a cancellation
 // context.
 func MinLocalityAtWorstCaseCtx(ctx context.Context, t topo.Topology, opts Options) (*Result, error) {
-	q := newPotentialLP(t, false, opts)
-	stage1, err := q.solve(ctx, math.NaN())
+	p := newPotentialLP(t, false, opts)
+	stage1, err := p.solveWorstCase(ctx, math.NaN())
 	if err != nil {
 		return nil, err
 	}
@@ -840,12 +785,11 @@ func MinLocalityAtWorstCaseCtx(ctx context.Context, t topo.Topology, opts Option
 	// mutations go through the cut log so retry rebuilds and checkpoints
 	// replay them; the stage bump keeps stage-2 checkpoints from ever
 	// restoring into a stage-1 loop.
-	p := q.FlowLP
 	p.ckptStage = 2
 	p.record(cutEntry{Kind: cutCapW, Val: wStar})
 	p.record(cutEntry{Kind: cutObjLen})
 
-	res, err := q.solve(ctx, wStar)
+	res, err := p.solveWorstCase(ctx, wStar)
 	if err != nil {
 		return nil, fmt.Errorf("design: stage 2: %w", err)
 	}

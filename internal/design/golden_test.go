@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"tcr/internal/topo"
+	"tcr/internal/traffic"
 )
 
 // goldenHash fingerprints a flow solution: SHA-256 (first 16 hex digits)
@@ -94,6 +95,70 @@ func TestGoldenDesignFingerprints(t *testing.T) {
 		// (up to the cap's convergence-tolerance slack).
 		if d := math.Abs(res3.GammaWC - res.GammaWC); d > 1e-4*res.GammaWC {
 			t.Errorf("k=%d lex GammaWC=%v drifted from wcopt %v", tc.k, res3.GammaWC, res.GammaWC)
+		}
+	}
+}
+
+// TestGoldenLoopFingerprints pins, bit for bit, the cut loops the k=4/k=6
+// worst-case pins above do not reach: the capacity LP (6), the pure
+// permutation-cut worst case, the average-case LP (15), and the 2TURN and
+// 2TURNA path LPs. Each case hashes (Objective, Flow.X) with goldenHash and
+// also pins the round and pivot counts, so a change to the order or content
+// of any loop's solver mutations fails here.
+func TestGoldenLoopFingerprints(t *testing.T) {
+	if !goldenEngineDefault {
+		t.Skip("fingerprints pin the eta engine's bit trajectory; lpdense swaps the default engine")
+	}
+	// Captured with Options{Workers: 1}.
+	opts := Options{Workers: 1}
+	flowCase := func(name string, run func() (*Result, error)) (string, int, int) {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return goldenHash(res.Flow.X, res.Objective), res.Rounds, res.Iterations
+	}
+	pathCase := func(name string, run func() (*PathResult, error)) (string, int, int) {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return goldenHash(res.Flow.X, res.Objective), res.Rounds, 0
+	}
+	t4, t3 := topo.NewTorus(4), topo.NewTorus(3)
+	permOpts := opts
+	permOpts.Cuts = CutPermutations
+	cases := []struct {
+		name          string
+		run           func() (string, int, int)
+		hash          string
+		rounds, iters int
+	}{
+		{"Capacity k=4", func() (string, int, int) {
+			return flowCase("Capacity", func() (*Result, error) { return Capacity(t4, opts) })
+		}, "10dbf6929b4e4e14", 4, 132},
+		{"WorstCaseOptimal CutPermutations k=4", func() (string, int, int) {
+			return flowCase("WorstCaseOptimal", func() (*Result, error) { return WorstCaseOptimal(t4, permOpts) })
+		}, "7aa6ef3163a058fc", 161, 34986},
+		{"AvgCaseOptimal k=4", func() (string, int, int) {
+			return flowCase("AvgCaseOptimal", func() (*Result, error) {
+				return AvgCaseOptimal(t4, traffic.Sample(t4.N, 12, 17), opts)
+			})
+		}, "73fea66f6fce9b2b", 10, 835},
+		{"DesignTwoTurn k=3", func() (string, int, int) {
+			return pathCase("DesignTwoTurn", func() (*PathResult, error) { return DesignTwoTurn(t3, opts) })
+		}, "cba902595aed0da7", 10, 0},
+		{"DesignTwoTurnAvg k=3", func() (string, int, int) {
+			return pathCase("DesignTwoTurnAvg", func() (*PathResult, error) {
+				return DesignTwoTurnAvg(t3, traffic.Sample(t3.N, 12, 17), opts)
+			})
+		}, "663a65222a10437b", 12, 0},
+	}
+	for _, tc := range cases {
+		hash, rounds, iters := tc.run()
+		if hash != tc.hash || rounds != tc.rounds || iters != tc.iters {
+			t.Errorf("%s: fingerprint %s rounds=%d iters=%d, pinned %s rounds=%d iters=%d",
+				tc.name, hash, rounds, iters, tc.hash, tc.rounds, tc.iters)
 		}
 	}
 }

@@ -1,16 +1,10 @@
 package design
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 
-	"tcr/internal/eval"
 	"tcr/internal/lp"
-	"tcr/internal/matching"
-	"tcr/internal/par"
 	"tcr/internal/topo"
 )
 
@@ -43,22 +37,11 @@ type potBlock struct {
 }
 
 // addPotentialBlocks extends the model with potential variables and the sum
-// rows sum(u)+sum(v) <= w for each of the LP's separation representatives
-// (p.seps — full-group channel orbits when the symmetrized non-transitive
-// folding is active, translation orbits otherwise). Must run before the
-// solver is constructed.
-func (p *FlowLP) addPotentialBlocks(m *lp.Model) []*potBlock {
-	return potentialBlocksFor(m, p.T, p.seps, p.wVar)
-}
-
-// addPotentialBlocks is the formulation-independent block builder: one block
-// per channel-orbit representative of the topology's translation subgroup.
-func addPotentialBlocks(m *lp.Model, t topo.Topology, wVar lp.VarID) []*potBlock {
-	return potentialBlocksFor(m, t, t.TransGroup().ChanOrbitReps(), wVar)
-}
-
-// potentialBlocksFor builds one potential block per given representative.
-func potentialBlocksFor(m *lp.Model, t topo.Topology, reps []topo.Channel, wVar lp.VarID) []*potBlock {
+// rows sum(u)+sum(v) <= w, one block per given separation representative: a
+// flow LP's p.seps (full-group channel orbits when the symmetrized
+// non-transitive folding is active, translation orbits otherwise), or a path
+// LP's translation orbits. Must run before the solver is constructed.
+func addPotentialBlocks(m *lp.Model, t topo.Topology, reps []topo.Channel, wVar lp.VarID) []*potBlock {
 	n := t.Nodes()
 	blocks := make([]*potBlock, 0, len(reps))
 	for bi, ch := range reps {
@@ -102,13 +85,13 @@ func (p *FlowLP) pairRowTerms(b *potBlock, s, d int) []lp.Term {
 	}
 }
 
-// violatedPairs selects pair rows to add for a block: for every source the
-// most violated destination and for every destination the most violated
-// source (deduplicated, ordered by decreasing violation). This covers the
-// whole bipartite structure each round -- the matching dual needs roughly
-// one tight row per source and destination -- instead of letting the most
-// violated entries crowd into a few rows of the load matrix.
-func violatedPairs(n int, b *potBlock, x []float64, load [][]float64, tol float64) []int {
+// violatedPairs selects at most maxRows pair rows to add for a block: for every
+// source the most violated destination and for every destination the most
+// violated source (deduplicated, ordered by decreasing violation). This
+// covers the whole bipartite structure each round -- the matching dual needs
+// roughly one tight row per source and destination -- instead of letting the
+// most violated entries crowd into a few rows of the load matrix.
+func violatedPairs(n int, b *potBlock, x []float64, load [][]float64, tol float64, maxRows int) []int {
 	type viol struct {
 		idx int
 		by  float64
@@ -155,6 +138,9 @@ func violatedPairs(n int, b *potBlock, x []float64, load [][]float64, tol float6
 		}
 		return vs[i].idx < vs[j].idx
 	})
+	if len(vs) > maxRows {
+		vs = vs[:maxRows]
+	}
 	out := make([]int, len(vs))
 	for i, v := range vs {
 		out[i] = v.idx
@@ -162,20 +148,15 @@ func violatedPairs(n int, b *potBlock, x []float64, load [][]float64, tol float6
 	return out
 }
 
-// potentialLP marks a FlowLP built with potential blocks (FlowLP.blocks).
-type potentialLP struct {
-	*FlowLP
-}
-
 // newPotentialLP builds the worst-case design LP in the paper's form (8),
 // with lazily generated pair rows.
-func newPotentialLP(t topo.Topology, withLocality bool, opts Options) *potentialLP {
+func newPotentialLP(t topo.Topology, withLocality bool, opts Options) *FlowLP {
 	p := newBareFlowLP(t, opts)
 
 	m := lp.NewModel()
 	p.addFlowVars(m)
 	p.wVar = m.AddVar(1, "w")
-	blocks := p.addPotentialBlocks(m)
+	blocks := addPotentialBlocks(m, t, p.seps, p.wVar)
 	p.addConservation(m, false)
 	p.addSymmetry(m)
 	if withLocality {
@@ -202,7 +183,7 @@ func newPotentialLP(t topo.Topology, withLocality bool, opts Options) *potential
 	p.model = m
 	p.solver = lp.NewSolver(m)
 	p.blocks = blocks
-	return &potentialLP{FlowLP: p}
+	return p
 }
 
 // maxRowsPerBlockRound caps how many lazy pair rows enter per block per
@@ -210,169 +191,6 @@ func newPotentialLP(t topo.Topology, withLocality bool, opts Options) *potential
 // most 2N rows; this cap keeps the very first rounds lean.
 const maxRowsPerBlockRound = 128
 
-// solve runs the lazy-row loop: solve, add the most violated pair rows per
-// block, and finish when the Hungarian oracle certifies the bound. The
-// boundVar-capped variant (stage 2) passes a fixed numeric bound instead of
-// reading w from the solution.
-//
-// The per-block pair-load matrices and Hungarian matchings are independent
-// and run on Options.Workers goroutines; the certification scan and the row
-// additions that follow read the per-block slots in block order, so the cut
-// sequence is identical for every worker count.
-//
-// Each round's LP solve goes through the retry ladder (cutlog.go), the loop
-// checkpoints its state per Options.Checkpoint, and exhausted budgets
-// degrade to the best iterate seen rather than failing (design.go: degrade).
-func (q *potentialLP) solve(ctx context.Context, fixedBound float64) (*Result, error) {
-	p := q.FlowLP
-	tol := p.opts.tol()
-	res := &Result{}
-	loads := make([][][]float64, len(p.blocks))
-	perms := make([][]int, len(p.blocks))
-	gammas := make([]float64, len(p.blocks))
-	startRound, cumIters := 0, 0
-	if r, it, ok := p.restoreCheckpoint(); ok {
-		startRound, cumIters = r, it
-	} else {
-		p.restoreWarmStart()
-	}
-	var bestFlow *eval.Flow
-	var bestObj, bestGW float64
-	for round := startRound; round < p.opts.rounds(); round++ {
-		res.Rounds, res.Iterations = round, cumIters
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return degrade(res, bestFlow, bestObj, bestGW, err)
-		}
-		sol, err := p.solveRound(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if sol.Status == lp.IterLimit {
-			if err := ctx.Err(); errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return degrade(res, bestFlow, bestObj, bestGW,
-				fmt.Errorf("simplex budget exhausted at round %d (%s)", round, sol.Diag.Summary()))
-		}
-		if sol.Status != lp.Optimal {
-			return nil, fmt.Errorf("design: potential LP status %v at round %d", sol.Status, round)
-		}
-		cumIters += sol.Iterations
-		res.Rounds, res.Iterations = round+1, cumIters
-		flow := p.unfold(sol.X)
-		bound := fixedBound
-		if math.IsNaN(bound) {
-			bound = sol.X[p.wVar]
-		}
-		// Certify every block with the Hungarian oracle, then add lazy
-		// rows only for the worst-violated block: under the symmetry
-		// folding the representative blocks are near-copies, and feeding
-		// them all every round multiplies the LP for no information.
-		err = p.separate(ctx, func() error {
-			return par.Do(ctx, len(p.blocks), p.opts.Workers, func(bi int) error {
-				if err := oracleFault(); err != nil {
-					return err
-				}
-				loads[bi] = pairLoadMatrix(flow, p.blocks[bi].ch)
-				perm, g, err := matching.MaxWeightAssignment(loads[bi])
-				if err != nil {
-					return err
-				}
-				perms[bi], gammas[bi] = perm, g
-				return nil
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		gw := gammas[0]
-		for _, g := range gammas[1:] {
-			gw = math.Max(gw, g)
-		}
-		if bestFlow == nil || gw < bestGW {
-			bestFlow, bestObj, bestGW = flow, sol.Objective, gw
-		}
-		certified := true
-		limit := bound + tol*math.Max(1, bound)
-		worstBlock, worstG := -1, limit
-		for bi := range p.blocks {
-			if gammas[bi] > limit {
-				certified = false
-			}
-			if gammas[bi] > worstG {
-				worstG, worstBlock = gammas[bi], bi
-			}
-		}
-		if certified {
-			res.Flow = flow
-			res.Objective = sol.Objective
-			res.Iterations = sol.Iterations
-			res.Certified = true
-			res.GammaWC, _, err = flow.WorstCaseCtx(ctx, p.opts.Workers)
-			if err != nil {
-				return nil, err
-			}
-			res.HAvg = flow.HAvg()
-			res.HNorm = flow.HNorm()
-			if err := p.writeFinalSnapshot(res.Rounds, res.Iterations); err != nil {
-				return nil, err
-			}
-			if err := p.clearCheckpoint(); err != nil {
-				return nil, err
-			}
-			return res, nil
-		}
-		progressed := false
-		if p.T.VertexTransitive() {
-			if worstBlock >= 0 {
-				b := p.blocks[worstBlock]
-				// One aggregate permutation cut moves the bound immediately;
-				// the pair rows supply the matching-dual structure. Under the
-				// symmetry folding the representative blocks are near-copies,
-				// so feeding only the worst one each round keeps the LP lean
-				// without slowing convergence.
-				p.permCut(b.ch, perms[worstBlock], p.wVar)
-				for i, idx := range violatedPairs(p.n, b, sol.X, loads[worstBlock], tol) {
-					if i >= maxRowsPerBlockRound {
-						break
-					}
-					p.pairRow(b, idx/p.n, idx%p.n)
-					progressed = true
-				}
-				progressed = true
-			}
-		} else {
-			// Without translation symmetry every channel is its own block and
-			// the blocks are genuinely independent, so starving all but the
-			// worst one multiplies the round count by the channel count. Feed
-			// every violated block.
-			for bi, b := range p.blocks {
-				if gammas[bi] <= limit {
-					continue
-				}
-				p.permCut(b.ch, perms[bi], p.wVar)
-				for i, idx := range violatedPairs(p.n, b, sol.X, loads[bi], tol) {
-					if i >= maxRowsPerBlockRound {
-						break
-					}
-					p.pairRow(b, idx/p.n, idx%p.n)
-				}
-				progressed = true
-			}
-		}
-		if !progressed {
-			return nil, fmt.Errorf("design: oracle violated but no pair rows to add (numerical trouble)")
-		}
-		if (round+1)%p.opts.ckptEvery() == 0 {
-			if err := p.writeCheckpoint(round+1, cumIters); err != nil {
-				return nil, err
-			}
-		}
-	}
-	res.Rounds, res.Iterations = p.opts.rounds(), cumIters
-	return degrade(res, bestFlow, bestObj, bestGW,
-		fmt.Errorf("potential LP did not converge in %d rounds", p.opts.rounds()))
-}
+// maxPathRowsPerBlockRound is the same cap for the path LPs, which grow
+// every violated block each round (twoturn.go: PathLP.solveWC).
+const maxPathRowsPerBlockRound = 48

@@ -7,8 +7,6 @@ import (
 
 	"tcr/internal/eval"
 	"tcr/internal/lp"
-	"tcr/internal/matching"
-	"tcr/internal/par"
 	"tcr/internal/paths"
 	"tcr/internal/routing"
 	"tcr/internal/topo"
@@ -77,7 +75,7 @@ func NewPathLP(t *topo.Torus, family PathFamily, samples []*traffic.Matrix, with
 	p.wVar = m.AddVar(0, "w")
 	if samples == nil {
 		m.SetObj(p.wVar, 1)
-		p.blocks = addPotentialBlocks(m, t, p.wVar)
+		p.blocks = addPotentialBlocks(m, t, t.TransGroup().ChanOrbitReps(), p.wVar)
 	} else {
 		inv := 1 / float64(len(samples))
 		p.tVars = make([]lp.VarID, len(samples))
@@ -124,59 +122,32 @@ func (p *PathLP) SetLocality(hNorm float64) {
 	p.solver.SetRHS(int(p.hRow), hNorm*float64(p.T.N)*p.T.MeanMinDist())
 }
 
-// pathUses reports whether path (ri, i) crosses channel c.
-func (p *PathLP) pathUses(ri, i int, c topo.Channel) bool {
-	return p.chBits[ri][i][int(c)/64]&(1<<(uint(c)%64)) != 0
-}
-
-// relIndex maps a relative destination node to its slice index (rel-1).
-func (p *PathLP) relIndex(rel topo.Node) int { return int(rel) - 1 }
-
-// loadTerms returns the LP terms of gamma_c(R, Lambda) for a pattern given
-// as entries (s, d, coef).
-func (p *PathLP) permCut(c topo.Channel, perm []int, bound lp.VarID) {
+// appendPairLoad appends coef times the load pair (s, d) places on channel
+// c, in path variables: the pair's relative-destination paths that cross c
+// once it is translated into source s's frame.
+func (p *PathLP) appendPairLoad(terms []lp.Term, c topo.Channel, s, d int, coef float64) []lp.Term {
 	t := p.T
-	var terms []lp.Term
 	ux, uy := t.Coord(t.ChanSrc(c))
-	dir := t.ChanDir(c)
-	for s, d := range perm {
-		if s == d {
-			continue
-		}
-		sx, sy := t.Coord(topo.Node(s))
-		tc := t.Chan(t.NodeAt(ux-sx, uy-sy), dir)
-		rx, ry := t.Rel(topo.Node(s), topo.Node(d))
-		ri := p.relIndex(t.NodeAt(rx, ry))
-		for i, v := range p.varOf[ri] {
-			if p.pathUses(ri, i, tc) {
-				terms = append(terms, lp.Term{Var: v, Coef: 1})
-			}
+	sx, sy := t.Coord(topo.Node(s))
+	tc := t.Chan(t.NodeAt(ux-sx, uy-sy), t.ChanDir(c))
+	rx, ry := t.Rel(topo.Node(s), topo.Node(d))
+	ri := int(t.NodeAt(rx, ry)) - 1 // relative destinations start at 1
+	for i, v := range p.varOf[ri] {
+		if p.chBits[ri][i][int(tc)/64]&(1<<(uint(tc)%64)) != 0 {
+			terms = append(terms, lp.Term{Var: v, Coef: coef})
 		}
 	}
-	terms = append(terms, lp.Term{Var: bound, Coef: -1})
-	p.solver.AddCut(terms, lp.LE, 0)
+	return terms
 }
 
 // matrixCut adds gamma_c(R, Lambda) <= bound for a dense pattern.
 func (p *PathLP) matrixCut(c topo.Channel, lam *traffic.Matrix, bound lp.VarID) {
-	t := p.T
 	var terms []lp.Term
-	ux, uy := t.Coord(t.ChanSrc(c))
-	dir := t.ChanDir(c)
-	for s := 0; s < t.N; s++ {
-		sx, sy := t.Coord(topo.Node(s))
-		tc := t.Chan(t.NodeAt(ux-sx, uy-sy), dir)
-		for d := 0; d < t.N; d++ {
+	for s := 0; s < p.T.N; s++ {
+		for d := 0; d < p.T.N; d++ {
 			//lint:ignore floatcmp sparsity skip: entries never written stay exactly 0
-			if s == d || lam.L[s][d] == 0 {
-				continue
-			}
-			rx, ry := t.Rel(topo.Node(s), topo.Node(d))
-			ri := p.relIndex(t.NodeAt(rx, ry))
-			for i, v := range p.varOf[ri] {
-				if p.pathUses(ri, i, tc) {
-					terms = append(terms, lp.Term{Var: v, Coef: lam.L[s][d]})
-				}
+			if s != d && lam.L[s][d] != 0 {
+				terms = p.appendPairLoad(terms, c, s, d, lam.L[s][d])
 			}
 		}
 	}
@@ -239,24 +210,12 @@ type PathResult struct {
 // pairRowPath adds the lazy potential constraint
 // load_{s,d}(c) - u_s - v_d <= 0 in path variables.
 func (p *PathLP) pairRowPath(b *potBlock, s, d int) {
-	t := p.T
-	ux, uy := t.Coord(t.ChanSrc(b.ch))
-	sx, sy := t.Coord(topo.Node(s))
-	tc := t.Chan(t.NodeAt(ux-sx, uy-sy), t.ChanDir(b.ch))
-	rx, ry := t.Rel(topo.Node(s), topo.Node(d))
-	ri := p.relIndex(t.NodeAt(rx, ry))
-	var terms []lp.Term
-	for i, v := range p.varOf[ri] {
-		if p.pathUses(ri, i, tc) {
-			terms = append(terms, lp.Term{Var: v, Coef: 1})
-		}
-	}
-	terms = append(terms,
+	terms := append(p.appendPairLoad(nil, b.ch, s, d, 1),
 		lp.Term{Var: b.u + lp.VarID(s), Coef: -1},
 		lp.Term{Var: b.v + lp.VarID(d), Coef: -1},
 	)
 	p.solver.AddCut(terms, lp.LE, 0)
-	b.added[s*t.N+d] = true
+	b.added[s*p.T.N+d] = true
 }
 
 // solveWC runs worst-case constraint generation against the given bound
@@ -265,22 +224,19 @@ func (p *PathLP) pairRowPath(b *potBlock, s, d int) {
 // hold at the fixed numeric bound (stage 2). The per-block oracles run on
 // Options.Workers goroutines; rows are added in block order afterwards, so
 // the cut sequence is worker-count independent.
-func (p *PathLP) solveWC(ctx context.Context, fixedBound float64) (*lp.Solution, int, error) {
+func (p *PathLP) solveWC(ctx context.Context, fixedBound float64) (*lp.Solution, *Result, error) {
 	tol := p.opts.tol()
-	loads := make([][][]float64, len(p.blocks))
-	gammas := make([]float64, len(p.blocks))
-	for round := 0; round < p.opts.rounds(); round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, round, err
-		}
-		sol, err := p.solver.Solve()
-		if err != nil {
-			return nil, round, err
-		}
-		if sol.Status != lp.Optimal {
-			return nil, round, fmt.Errorf("design: path LP status %v", sol.Status)
-		}
+	chans := make([]topo.Channel, len(p.blocks))
+	for bi, b := range p.blocks {
+		chans[bi] = b.ch
+	}
+	o := newRepOracle(chans)
+	return p.run(ctx, "path LP cuts", func(ctx context.Context, sol *lp.Solution) (*eval.Flow, float64, bool, error) {
 		flow := p.flowOf(sol.X)
+		gw, err := o.run(ctx, p.opts.Workers, flow, nil)
+		if err != nil {
+			return nil, 0, false, err
+		}
 		bound := fixedBound
 		if math.IsNaN(bound) {
 			bound = sol.X[p.wVar]
@@ -290,42 +246,49 @@ func (p *PathLP) solveWC(ctx context.Context, fixedBound float64) (*lp.Solution,
 		// every violated block each round is cheap and cuts round count.
 		// Aggregate permutation cuts are NOT added here: their rows are
 		// dense in path variables and bloat every subsequent pricing pass.
-		err = par.Do(ctx, len(p.blocks), p.opts.Workers, func(bi int) error {
-			loads[bi] = pairLoadMatrix(flow, p.blocks[bi].ch)
-			_, g, err := matching.MaxWeightAssignment(loads[bi])
-			if err != nil {
-				return err
-			}
-			gammas[bi] = g
-			return nil
-		})
-		if err != nil {
-			return nil, round, err
-		}
-		certified := true
 		limit := bound + tol*math.Max(1, bound)
-		progressed := false
+		violated, progressed := false, false
 		for bi, b := range p.blocks {
-			if gammas[bi] <= limit {
+			if o.gammas[bi] <= limit {
 				continue
 			}
-			certified = false
-			for i, idx := range violatedPairs(p.T.N, b, sol.X, loads[bi], tol) {
-				if i >= 48 {
-					break
-				}
+			violated = true
+			for _, idx := range violatedPairs(p.T.N, b, sol.X, o.loads[bi], tol, maxPathRowsPerBlockRound) {
 				p.pairRowPath(b, idx/p.T.N, idx%p.T.N)
 				progressed = true
 			}
 		}
-		if certified {
-			return sol, round + 1, nil
+		if violated && !progressed {
+			return nil, 0, false, fmt.Errorf("design: path LP oracle violated but no rows to add")
 		}
-		if !progressed {
-			return nil, round, fmt.Errorf("design: path LP oracle violated but no rows to add")
+		return flow, gw, violated, nil
+	})
+}
+
+// run drives one path-LP cut loop to certification and returns the final
+// LP solution with the driver's certified result. Path designs cannot
+// degrade: an expired context surfaces as the context's error and any
+// other exhausted budget as an error naming it.
+func (p *PathLP) run(ctx context.Context, name string, separate separateFunc) (*lp.Solution, *Result, error) {
+	var last *lp.Solution
+	l := &cutLoop{name: name, opts: p.opts, solve: p.solver.SolveCtx,
+		separate: func(ctx context.Context, sol *lp.Solution) (*eval.Flow, float64, bool, error) {
+			last = sol
+			return separate(ctx, sol)
+		}}
+	res, err := l.run(ctx)
+	if err != nil || !res.Certified {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, nil, cerr
 		}
 	}
-	return nil, p.opts.rounds(), fmt.Errorf("design: path LP cuts did not converge")
+	if err != nil {
+		return nil, nil, err
+	}
+	if !res.Certified {
+		return nil, nil, fmt.Errorf("design: %s", res.Reason)
+	}
+	return last, res, nil
 }
 
 // DesignTwoTurn produces the 2TURN algorithm (Section 5.2): over all
@@ -348,7 +311,7 @@ func designPathWC(ctx context.Context, t *topo.Torus, family PathFamily, label s
 	if err != nil {
 		return nil, err
 	}
-	sol, rounds1, err := p.solveWC(ctx, math.NaN())
+	sol, stage1, err := p.solveWC(ctx, math.NaN())
 	if err != nil {
 		return nil, err
 	}
@@ -364,11 +327,11 @@ func designPathWC(ctx context.Context, t *topo.Torus, family PathFamily, label s
 		}
 	}
 	p.solver.SetObjCoef(p.wVar, 0)
-	sol, rounds2, err := p.solveWC(ctx, wStar)
+	sol, res, err := p.solveWC(ctx, wStar)
 	if err != nil {
 		return nil, err
 	}
-	return p.finish(ctx, sol, label, rounds1+rounds2)
+	return p.finish(sol, res, label, stage1.Rounds), nil
 }
 
 // DesignTwoTurnAvg produces the 2TURNA algorithm (Section 5.4): over the
@@ -395,7 +358,7 @@ func designPathAvg(ctx context.Context, t *topo.Torus, family PathFamily, label 
 	if err != nil {
 		return nil, err
 	}
-	sol, rounds1, err := p.solveAvg(ctx, math.NaN())
+	sol, stage1, err := p.solveAvg(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -416,14 +379,11 @@ func designPathAvg(ctx context.Context, t *topo.Torus, family PathFamily, label 
 	for _, v := range p.tVars {
 		p.solver.SetObjCoef(v, 0)
 	}
-	sol, rounds2, err := p.solveAvg(ctx, vStar)
+	sol, stage2, err := p.solveAvg(ctx)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.finish(ctx, sol, label, rounds1+rounds2)
-	if err != nil {
-		return nil, err
-	}
+	res := p.finish(sol, stage2, label, stage1.Rounds)
 	// Report the stage-1 objective (mean max load) as the result objective.
 	var mean float64
 	for _, v := range p.tVars {
@@ -433,69 +393,21 @@ func designPathAvg(ctx context.Context, t *topo.Torus, family PathFamily, label 
 	return res, nil
 }
 
-// solveAvg runs per-sample constraint generation. fixedCap (when not NaN)
-// is informational only; per-sample bounds are the t variables either way.
-// The per-sample separations run on Options.Workers goroutines into
-// per-sample slots; cuts are added in sample order.
-func (p *PathLP) solveAvg(ctx context.Context, fixedCap float64) (*lp.Solution, int, error) {
-	_ = fixedCap
-	tol := p.opts.tol()
-	worstCs := make([]int, len(p.samples))
-	worsts := make([]float64, len(p.samples))
-	for round := 0; round < p.opts.rounds(); round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, round, err
-		}
-		sol, err := p.solver.Solve()
-		if err != nil {
-			return nil, round, err
-		}
-		if sol.Status != lp.Optimal {
-			return nil, round, fmt.Errorf("design: path avg LP status %v", sol.Status)
-		}
-		flow := p.flowOf(sol.X)
-		err = par.Do(ctx, len(p.samples), p.opts.Workers, func(i int) error {
-			loads := flow.ChannelLoads(p.samples[i])
-			worstC, worst := 0, 0.0
-			for c, l := range loads {
-				if l > worst {
-					worst, worstC = l, c
-				}
-			}
-			worstCs[i], worsts[i] = worstC, worst
-			return nil
-		})
-		if err != nil {
-			return nil, round, err
-		}
-		violated := false
-		for i, lam := range p.samples {
-			if worsts[i] > sol.X[p.tVars[i]]+tol {
-				p.matrixCut(topo.Channel(worstCs[i]), lam, p.tVars[i])
-				violated = true
-			}
-		}
-		if !violated {
-			return sol, round + 1, nil
-		}
-	}
-	return nil, p.opts.rounds(), fmt.Errorf("design: path avg LP cuts did not converge")
+// solveAvg runs per-sample constraint generation (see sampleSeparator).
+func (p *PathLP) solveAvg(ctx context.Context) (*lp.Solution, *Result, error) {
+	return p.run(ctx, "path avg LP cuts", sampleSeparator(p.opts.Workers, p.samples, p.tVars, p.opts.tol(), p.flowOf, p.matrixCut, nil))
 }
 
-func (p *PathLP) finish(ctx context.Context, sol *lp.Solution, label string, rounds int) (*PathResult, error) {
-	tbl := p.table(sol.X, label)
-	flow := p.flowOf(sol.X)
-	gw, _, err := flow.WorstCaseCtx(ctx, p.opts.Workers)
-	if err != nil {
-		return nil, err
-	}
+// finish packages a certified final stage as a PathResult; stage1Rounds
+// adds the first stage's rounds to the reported total.
+func (p *PathLP) finish(sol *lp.Solution, res *Result, label string, stage1Rounds int) *PathResult {
 	return &PathResult{
-		Table:     tbl,
-		Flow:      flow,
-		Objective: sol.Objective,
-		GammaWC:   gw,
-		HAvg:      flow.HAvg(),
-		HNorm:     flow.HNorm(),
-		Rounds:    rounds,
-	}, nil
+		Table:     p.table(sol.X, label),
+		Flow:      res.Flow,
+		Objective: res.Objective,
+		GammaWC:   res.GammaWC,
+		HAvg:      res.HAvg,
+		HNorm:     res.HNorm,
+		Rounds:    stage1Rounds + res.Rounds,
+	}
 }

@@ -1,12 +1,14 @@
 package design
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"tcr/internal/topo"
+	"tcr/internal/traffic"
 )
 
 // The warm-start contract: a certified run writes its final cut-loop state
@@ -130,5 +132,62 @@ func TestWarmStartUnusableSnapshotIgnored(t *testing.T) {
 	if !res.Certified || math.Abs(res.GammaWC-1.0) > 1e-5 {
 		t.Fatalf("foreign-topology snapshot: certified=%v gamma_wc=%v, want certified 1.0",
 			res.Certified, res.GammaWC)
+	}
+}
+
+// TestAvgCaseIgnoresCheckpointAndWarmStart: the average-case loop never
+// restores, writes or clears a checkpoint, and never warm-starts. Its flow
+// LP's signature can equal the k=4 potential LP's, so a valid checkpoint and
+// final snapshot of that LP must leave the run bit-identical to one with
+// neither option, and both files byte-unchanged.
+func TestAvgCaseIgnoresCheckpointAndWarmStart(t *testing.T) {
+	tor := topo.NewTorus(4)
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "wc.ckpt")
+	snap := filepath.Join(dir, "final.snap")
+	partial, err := WorstCaseOptimal(tor, Options{Checkpoint: ckpt, MaxRounds: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial.Certified {
+		t.Fatal("4-round run certified; expected a leftover checkpoint")
+	}
+	if _, err := WorstCaseOptimal(tor, Options{FinalSnapshot: snap}); err != nil {
+		t.Fatal(err)
+	}
+	ckptBytes, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapBytes, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	samples := traffic.Sample(tor.N, 12, 17)
+	ref, err := AvgCaseOptimal(tor, samples, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AvgCaseOptimal(tor, samples, Options{Checkpoint: ckpt, WarmFrom: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if goldenHash(got.Flow.X, got.Objective) != goldenHash(ref.Flow.X, ref.Objective) ||
+		got.Rounds != ref.Rounds || got.Iterations != ref.Iterations || got.Certified != ref.Certified {
+		t.Errorf("avg-case run with Checkpoint/WarmFrom (rounds=%d iters=%d) differs from plain run (rounds=%d iters=%d)",
+			got.Rounds, got.Iterations, ref.Rounds, ref.Iterations)
+	}
+	for _, f := range []struct {
+		path string
+		want []byte
+	}{{ckpt, ckptBytes}, {snap, snapBytes}} {
+		after, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(f.path), err)
+		}
+		if !bytes.Equal(after, f.want) {
+			t.Errorf("%s changed by the average-case run", filepath.Base(f.path))
+		}
 	}
 }

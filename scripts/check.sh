@@ -1,9 +1,11 @@
 #!/bin/sh
 # check.sh - the repository's full verification gate.
 #
-# Runs, in order: build, go vet, a gofmt check, the repo's own
-# static-analysis pass (tcrlint), the unit tests under the race detector,
-# the fault-injection suites (-tags lpchaos for the solver, -tags
+# Runs, in order: build, go vet (default and -tags lpdense), a gofmt check,
+# the repo's own static-analysis pass (tcrlint), the unit tests under the
+# race detector, the dense-oracle configuration (-tags lpdense: engine
+# equivalence, checkpoint, warm-start and Pareto tests), the
+# fault-injection suites (-tags lpchaos for the solver, -tags
 # storechaos for the storage crash-consistency harness), the daemon e2e and
 # client retry suites, the online design loop (observe ingest, drift-retune
 # e2e, restart resume, plus the lpchaos re-solve-failure case), and a short
@@ -22,6 +24,9 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> go vet -tags lpdense ./..."
+go vet -tags lpdense ./...
+
 echo "==> gofmt -l (every Go file must be gofmt-clean)"
 UNFORMATTED=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
 if [ -n "$UNFORMATTED" ]; then
@@ -35,6 +40,9 @@ go run ./cmd/tcrlint -tests ./...
 
 echo "==> go test -race ./... (short mode)"
 go test -race -short -timeout 30m ./...
+
+echo "==> dense oracle configuration (-tags lpdense)"
+go test -tags lpdense -count=1 ./internal/lp ./internal/design -run 'Equiv|Property|FullLP|Checkpoint|WarmStart|Pareto'
 
 echo "==> go test -tags lpchaos ./internal/... (fault injection)"
 go test -tags lpchaos -timeout 10m ./internal/...

@@ -234,8 +234,9 @@ func WorstCaseParetoCurve(t *Torus, hNorms []float64, opts DesignOptions) ([]Par
 }
 
 // WorstCaseParetoCurveCtx is WorstCaseParetoCurve under a cancellation
-// context. With opts.Workers != 1 the curve's points solve as independent
-// LPs in parallel, returned in hNorms order.
+// context. The points solve in hNorms order on one shared warm-started LP;
+// opts.Workers parallelizes each point's separation oracles and never
+// changes the returned points.
 func WorstCaseParetoCurveCtx(ctx context.Context, t *Torus, hNorms []float64, opts DesignOptions) ([]ParetoPoint, error) {
 	return design.WorstCaseParetoCurveCtx(ctx, t, hNorms, opts)
 }
@@ -293,7 +294,7 @@ func AvgCaseParetoCurve(t *Torus, samples []*Traffic, hNorms []float64, opts Des
 }
 
 // AvgCaseParetoCurveCtx is AvgCaseParetoCurve under a cancellation context,
-// with the same per-point parallelism as WorstCaseParetoCurveCtx.
+// with the same shared-LP sweep as WorstCaseParetoCurveCtx.
 func AvgCaseParetoCurveCtx(ctx context.Context, t *Torus, samples []*Traffic, hNorms []float64, opts DesignOptions) ([]ParetoPoint, error) {
 	return design.AvgCaseParetoCurveCtx(ctx, t, samples, hNorms, opts)
 }
