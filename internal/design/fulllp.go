@@ -65,10 +65,7 @@ func FullWorstCaseLP(t topo.Topology, opts Options) (*Result, error) {
 	}
 	emit(0)
 
-	// SolveModel presolves first: the permutation rows all involve w, so
-	// little is removable, but dominated flow columns (channels no
-	// commodity can usefully cross) and the scaling pass come for free.
-	sol, err := lp.SolveModel(m)
+	sol, err := lp.NewSolver(m).Solve()
 	if err != nil {
 		return nil, err
 	}

@@ -38,16 +38,18 @@ func (s *Solver) ftran(col int) []float64 {
 // btranRow returns row r of Binv (the vector rho with rho^T = e_r^T Binv,
 // indexed by constraint row). The returned slice is solver-owned scratch
 // distinct from ftran's, so a rho computed before a pivot stays valid while
-// the entering column's FTRAN image is alive. The eta engine solves the
-// unit seed hyper-sparsely (hypersparse.go).
+// the entering column's FTRAN image is alive. The eta engine runs a full
+// BTRAN of the unit vector e_r.
 func (s *Solver) btranRow(r int) []float64 {
 	if s.engine == EngineDense {
 		rho := s.growRho()
-		s.hs.rhoDirty = true
 		copy(rho, s.binv[r])
 		return rho
 	}
-	return s.btranRowSparse(r)
+	w := s.growPosSp()
+	clear(w)
+	w[r] = 1
+	return s.btranEta(w)
 }
 
 // computeY returns y with y = c_B^T * Binv for the given cost vector.
@@ -56,10 +58,6 @@ func (s *Solver) computeY(costs []float64) []float64 {
 		return s.computeYDense(costs)
 	}
 	w := s.growPosSp()
-	// Dense scatter and dense BTRAN: both scratch vectors leave this call
-	// with untracked nonzeros.
-	s.hs.posSpDirty = true
-	s.hs.rhoDirty = true
 	for r, col := range s.basis {
 		w[r] = costs[col]
 	}

@@ -42,30 +42,6 @@ type Diagnostics struct {
 	// DeadlineHit reports that the context expired (deadline or
 	// cancellation) during the solve; the outcome is then IterLimit.
 	DeadlineHit bool
-	// Presolve summarizes the model reductions applied before the solve;
-	// zero when the solve ran on the original model (the in-loop Solver API
-	// never presolves — only SolveModel/SolveModelCtx do).
-	Presolve PresolveStats
-}
-
-// PresolveStats counts the reductions a presolve pass applied to a model
-// before handing the rest to the simplex.
-type PresolveStats struct {
-	// RowsRemoved counts constraint rows eliminated (empty rows and
-	// singleton rows converted to variable bounds or fixings).
-	RowsRemoved int
-	// ColsRemoved counts variables eliminated (fixed, empty, or dominated).
-	ColsRemoved int
-	// BoundsAdded counts upper bounds introduced by singleton-row
-	// conversion, replacing explicit capacity rows.
-	BoundsAdded int
-	// Passes counts fixpoint sweeps until no further reduction applied.
-	Passes int
-}
-
-// Empty reports whether the pass applied no reduction at all.
-func (p PresolveStats) Empty() bool {
-	return p.RowsRemoved == 0 && p.ColsRemoved == 0 && p.BoundsAdded == 0
 }
 
 // Summary renders the diagnostics as a one-line report for logs and CLI
@@ -91,10 +67,6 @@ func (d Diagnostics) Summary() string {
 	}
 	if d.DeadlineHit {
 		b.WriteString(" deadline-hit=true")
-	}
-	if !d.Presolve.Empty() {
-		fmt.Fprintf(&b, " presolve=rows-%d/cols-%d/bounds+%d",
-			d.Presolve.RowsRemoved, d.Presolve.ColsRemoved, d.Presolve.BoundsAdded)
 	}
 	return b.String()
 }

@@ -9,6 +9,7 @@ package lp_test
 // enumeration by the in-package property tests.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -198,6 +199,37 @@ func TestEngineEquivCutLoop(t *testing.T) {
 	}
 }
 
+// checkBoundedDuality verifies the strong-duality identity of an LP whose
+// variables all carry finite upper bounds,
+//
+//	obj == y.b + sum_j min(0, d_j)*ub_j,   d_j = c_j - y.A_j,
+//
+// against the model's objective, right-hand sides and bounds, with rows[i]
+// the terms row i was built from.
+func checkBoundedDuality(t *testing.T, tag string, m *lp.Model, rows [][]lp.Term, sol *lp.Solution) {
+	t.Helper()
+	d := make([]float64, m.NumVars())
+	for j := range d {
+		d[j] = m.Obj(lp.VarID(j))
+	}
+	dual := 0.0
+	for i, terms := range rows {
+		y := sol.Dual[i]
+		dual += y * m.RHS(lp.RowID(i))
+		for _, tm := range terms {
+			d[tm.Var] -= y * tm.Coef
+		}
+	}
+	for j, dj := range d {
+		if dj < 0 {
+			dual += dj * m.Upper(lp.VarID(j))
+		}
+	}
+	if gap := math.Abs(dual - sol.Objective); gap > certTol*(1+math.Abs(sol.Objective)) {
+		t.Fatalf("%s: duality gap: dual=%v obj=%v (gap %v)", tag, dual, sol.Objective, gap)
+	}
+}
+
 // TestEngineEquivBounded pits the engines against each other on the bounded
 // simplex: random LPs where capacities live as variable upper bounds (with
 // bound-flip ratio tests and at-upper nonbasic states) instead of explicit
@@ -219,7 +251,8 @@ func TestEngineEquivBounded(t *testing.T) {
 			ubs[j] = 2 + math.Round(16*rng.Float64())/2
 			model.SetUpper(vars[j], ubs[j])
 		}
-		for i := 0; i < mm; i++ {
+		rows := make([][]lp.Term, mm)
+		for i := range rows {
 			terms := make([]lp.Term, 0, n)
 			for j := 0; j < n; j++ {
 				if rng.Float64() < 0.7 {
@@ -231,6 +264,7 @@ func TestEngineEquivBounded(t *testing.T) {
 				rel = lp.GE
 			}
 			model.AddRow(terms, rel, math.Round(10*rng.Float64()), "")
+			rows[i] = terms
 		}
 		eta, dense := pair(model)
 		etaSol, err := eta.Solve()
@@ -242,10 +276,12 @@ func TestEngineEquivBounded(t *testing.T) {
 			t.Fatalf("trial %d dense: %v", trial, err)
 		}
 		// rhs=nil: with binding variable bounds the plain y.b == obj identity
-		// no longer holds (the bound multipliers contribute); the bounded
-		// certificate is covered by the presolve property suite.
+		// no longer holds (the bound multipliers contribute), so each engine's
+		// certificate is checked in its bounded form instead.
 		checkAgree(t, "bounded-cold", etaSol, denseSol, nil, true)
 		if etaSol.Status == lp.Optimal {
+			checkBoundedDuality(t, "bounded-cold eta", model, rows, etaSol)
+			checkBoundedDuality(t, "bounded-cold dense", model, rows, denseSol)
 			if v := model.MaxViolation(etaSol.X); v > 1e-6 {
 				t.Fatalf("trial %d: eta X violates bounds/rows by %v", trial, v)
 			}
@@ -326,11 +362,17 @@ func TestEngineEquivRHSSweep(t *testing.T) {
 }
 
 // TestEngineEquivDesignLP pits the engines against each other on the real
-// worst-case design LP: the k=4 flow formulation with a locality budget,
-// growing through rounds of adversarial permutation cuts, with interleaved
-// SetRHS locality moves — exactly the mutation mix the design loops issue.
+// worst-case design LP: the k=4 (81-row) and k=6 (325-row) flow formulations
+// with a locality budget, growing through rounds of adversarial permutation
+// cuts, with interleaved SetRHS locality moves — exactly the mutation mix the
+// design loops issue.
 func TestEngineEquivDesignLP(t *testing.T) {
-	k := 4
+	for _, k := range []int{4, 6} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { engineEquivDesignLP(t, k) })
+	}
+}
+
+func engineEquivDesignLP(t *testing.T, k int) {
 	rounds := 12
 	if testing.Short() {
 		rounds = 5

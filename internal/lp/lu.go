@@ -366,9 +366,6 @@ func (s *Solver) factorizeSparse() error {
 		s.luEliminate(pr, pc, pIdx)
 	}
 	s.factorOK = true
-	// New pivot sequence: the hyper-sparse step indexes and consumer
-	// transposes (hypersparse.go) are rebuilt lazily on first use.
-	s.hs.transOK = false
 	return nil
 }
 
@@ -814,18 +811,16 @@ func (s *Solver) btranEta(w []float64) []float64 {
 	return z
 }
 
-// ftranEta computes u = Binv * A[col] through the factors and eta file,
-// exploiting the column's sparsity: the scratch vectors are re-zeroed over
-// their tracked patterns and the triangular solves follow the symbolic
-// reach of the nonzeros (hypersparse.go).
+// ftranEta computes u = Binv * A[col] through the factors and eta file: the
+// sparse column is scattered into a zeroed row-space vector and solved by
+// ftranVec, which writes every entry of u.
 func (s *Solver) ftranEta(col int) []float64 {
 	b := s.growRowSp()
-	s.clearScratch(b, &s.hs.rowSpPat, &s.hs.rowSpDirty)
+	clear(b)
 	for t, ri := range s.colR[col] {
 		b[ri] = s.colV[col][t]
-		s.hs.rowSpPat = append(s.hs.rowSpPat, ri)
 	}
 	u := s.growU()
-	s.ftranVecSparse(b, u) // writes u in full on every path
+	s.ftranVec(b, u)
 	return u
 }

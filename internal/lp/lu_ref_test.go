@@ -135,7 +135,6 @@ func (s *Solver) checkPivotOrder() (selections, repairs int, err error) {
 		s.luEliminate(pr, pc, pIdx)
 	}
 	s.factorOK = true
-	s.hs.transOK = false
 	return selections, repairs, nil
 }
 

@@ -215,14 +215,6 @@ func (m *Model) SetRHS(r RowID, rhs float64) {
 // RHS returns the right-hand side of a row.
 func (m *Model) RHS(r RowID) float64 { return m.rows[r].rhs }
 
-// RowTerms returns a copy of the (merged) terms of a row.
-func (m *Model) RowTerms(r RowID) []Term {
-	t := m.rows[r].terms
-	out := make([]Term, len(t))
-	copy(out, t)
-	return out
-}
-
 // VarName returns the diagnostic name of a variable ("x<i>" if unnamed).
 func (m *Model) VarName(v VarID) string {
 	if n := m.names[v]; n != "" {

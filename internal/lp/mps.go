@@ -59,6 +59,12 @@ func (m *Model) WriteMPS(w io.Writer, name string) error {
 	}
 	ew.printf("COLUMNS\n")
 	for j, es := range cols {
+		if len(es) == 0 {
+			// A column with no entries still gets a line, so the reader
+			// keeps it (and the dense numbering of every later column).
+			ew.printf(" C%d OBJ 0\n", j)
+			continue
+		}
 		for _, e := range es {
 			ew.printf(" C%d %s %s\n", j, e.row, formatMPS(e.coef))
 		}

@@ -1,12 +1,12 @@
 package lp_test
 
-// Performance floor for the warm-start path: the eta engine with
-// hyper-sparse FTRAN/BTRAN must not lose to the dense oracle on the
-// Pareto-sweep episode (BenchmarkWarmSetRHS) at either torus size. The k=4
-// case is the historical regression this pins: before the hyper-sparse
-// solves, small-basis episodes paid more for the sparse machinery than the
-// dense inverse cost outright. The margin absorbs scheduler noise — this is
-// a "same order and no slower" gate, not a microbenchmark.
+// Performance floor for the warm-start path: the eta engine must not lose to
+// the dense oracle on the Pareto-sweep episode (BenchmarkWarmSetRHS) at
+// either torus size. The k=4 case is the tight one: on a small basis the LU
+// factors and eta file barely beat an explicit inverse, so a regression in
+// the eta engine's per-pivot overhead shows there first. The margin absorbs
+// scheduler noise — this is a "same order and no slower" gate, not a
+// microbenchmark.
 
 import (
 	"fmt"

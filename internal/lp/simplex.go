@@ -1,11 +1,6 @@
 package lp
 
-import (
-	"context"
-	"math"
-
-	"tcr/internal/par"
-)
+import "math"
 
 // Devex pricing parameters.
 const (
@@ -17,10 +12,6 @@ const (
 	// pivot's weight ratio explodes, which is Devex's standard guard
 	// against weights drifting meaninglessly large.
 	devexWeightReset = 1e12
-	// devexParMin is the smallest candidate list worth fanning out over
-	// PriceWorkers goroutines; below it the goroutine handoff costs more
-	// than the column scores.
-	devexParMin = 32
 )
 
 // primalFromBasis runs the phase-2 primal simplex from the current basis,
@@ -109,80 +100,27 @@ func (s *Solver) prices(costs, y []float64, j int) (float64, bool) {
 	return d, d < -dualTol
 }
 
-// scoreWorkers resolves how many goroutines a candidate-list pass may use:
-// PriceWorkers when the list is long enough to amortize the handoff, 1
-// otherwise.
-func (s *Solver) scoreWorkers() int {
-	if s.PriceWorkers > 1 && len(s.cand) >= devexParMin {
-		return s.PriceWorkers
-	}
-	return 1
-}
-
-// scoreCand evaluates every candidate's reduced cost into the per-index
-// slots priceD/priceOK on workers goroutines. Scoring reads only the fixed
-// duals and the immutable columns, and each task writes its own slot, so
-// the slots — and everything the sequential reduction derives from them —
-// are identical for every worker count.
-func (s *Solver) scoreCand(costs, y []float64, workers int) {
-	n := len(s.cand)
-	if cap(s.priceD) < n {
-		s.priceD = make([]float64, n)
-		s.priceOK = make([]bool, n)
-	}
-	s.priceD, s.priceOK = s.priceD[:n], s.priceOK[:n]
-	//lint:ignore errdrop structurally nil: the context is Background and the tasks never fail
-	_ = par.Do(context.Background(), n, workers, func(i int) error {
-		j := s.cand[i]
-		if s.pos[j] >= 0 || s.barred[j] {
-			s.priceOK[i] = false
-			return nil
-		}
-		s.priceD[i], s.priceOK[i] = s.prices(costs, y, j)
-		return nil
-	})
-}
-
 // priceDevex picks the entering column by Devex score d_j^2 / w_j, pricing
 // only the candidate list. Candidates whose reduced cost went nonnegative
 // are dropped; when the list drains, it is rebuilt by a rotating scan that
 // stops after devexCandMax attractive columns. Returns -1 when no column
 // prices out, which callers must confirm against exactly recomputed duals.
-//
-// With PriceWorkers > 1 the candidate scores are computed in parallel and
-// reduced sequentially in list order — the same first-wins tie-break as the
-// inline loop, hence the same entering column bit for bit.
 func (s *Solver) priceDevex(costs, y []float64) int {
 	enter := -1
 	best := 0.0
 	out := s.cand[:0]
-	if w := s.scoreWorkers(); w > 1 {
-		s.scoreCand(costs, y, w)
-		for i, j := range s.cand {
-			if !s.priceOK[i] {
-				continue
-			}
-			out = append(out, j)
-			d := s.priceD[i]
-			//lint:ignore nanguard devex weights are maintained >= 1
-			if sc := d * d / s.devexW[j]; sc > best {
-				best, enter = sc, j
-			}
+	for _, j := range s.cand {
+		if s.pos[j] >= 0 || s.barred[j] {
+			continue
 		}
-	} else {
-		for _, j := range s.cand {
-			if s.pos[j] >= 0 || s.barred[j] {
-				continue
-			}
-			d, ok := s.prices(costs, y, j)
-			if !ok {
-				continue
-			}
-			out = append(out, j)
-			//lint:ignore nanguard devex weights are maintained >= 1
-			if sc := d * d / s.devexW[j]; sc > best {
-				best, enter = sc, j
-			}
+		d, ok := s.prices(costs, y, j)
+		if !ok {
+			continue
+		}
+		out = append(out, j)
+		//lint:ignore nanguard devex weights are maintained >= 1
+		if sc := d * d / s.devexW[j]; sc > best {
+			best, enter = sc, j
 		}
 	}
 	s.cand = out
@@ -227,31 +165,13 @@ func (s *Solver) updateDevex(enter, leaveVar int, alpha float64, rho []float64) 
 		}
 		return
 	}
-	// Per-candidate weight updates are independent (candidate entries are
-	// unique, each task writes only devexW[j]), so the same fan-out that
-	// scores candidates applies here.
-	if w := s.scoreWorkers(); w > 1 {
-		//lint:ignore errdrop structurally nil: the context is Background and the tasks never fail
-		_ = par.Do(context.Background(), len(s.cand), w, func(i int) error {
-			j := s.cand[i]
-			if j == enter {
-				return nil
-			}
-			aj := s.dotCol(rho, j)
-			if nw := aj * aj * r2; nw > s.devexW[j] {
-				s.devexW[j] = nw
-			}
-			return nil
-		})
-	} else {
-		for _, j := range s.cand {
-			if j == enter {
-				continue
-			}
-			aj := s.dotCol(rho, j)
-			if nw := aj * aj * r2; nw > s.devexW[j] {
-				s.devexW[j] = nw
-			}
+	for _, j := range s.cand {
+		if j == enter {
+			continue
+		}
+		aj := s.dotCol(rho, j)
+		if nw := aj * aj * r2; nw > s.devexW[j] {
+			s.devexW[j] = nw
 		}
 	}
 	if r2 < 1 {

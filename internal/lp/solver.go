@@ -196,15 +196,6 @@ type Solver struct {
 	// generous default proportional to the problem size.
 	MaxIters int
 
-	// PriceWorkers parallelizes Devex candidate scoring (and the matching
-	// weight updates) across this many goroutines. 0 or 1 runs the
-	// historical inline path; values above 1 split the candidate list over
-	// par.Do index slots and reduce sequentially, so the entering column —
-	// and with it the entire pivot trajectory — is bit-for-bit identical
-	// at every worker count. Scoring is read-only (reduced costs against
-	// fixed duals), which is what makes the fan-out safe.
-	PriceWorkers int
-
 	iterations int
 
 	// Devex pricing state (primal simplex): per-column reference weights
@@ -212,10 +203,6 @@ type Solver struct {
 	devexW     []float64
 	cand       []int
 	candCursor int
-	// priceD/priceOK are the per-candidate result slots of the parallel
-	// scoring pass.
-	priceD  []float64
-	priceOK []bool
 
 	// Recovery-ladder state (recover.go): the context whose deadline bounds
 	// the running solve, the diagnostics being accumulated, and the
@@ -236,11 +223,6 @@ type Solver struct {
 	// bmat (dense-engine factorization rows).
 	y, u, rho, work, rowSp, posSp []float64
 	bmat                          [][]float64
-
-	// hs is the hyper-sparse solve state (hypersparse.go): the nonzero
-	// patterns of the scratch vectors above, the lazily built factor
-	// transposes, and the symbolic-reach workspace.
-	hs hyperSparse
 }
 
 // NewSolver captures the model into computational form. The model may be
@@ -602,7 +584,6 @@ func (s *Solver) SetObjCoef(v VarID, coef float64) {
 func (s *Solver) recomputeXB() {
 	if s.engine == EngineEta {
 		b := s.growRowSp()
-		s.hs.rowSpDirty = true // dense scatter below
 		copy(b, s.rhs)
 		s.boundAdjustRHS(b)
 		s.ftranVec(b, s.xB)

@@ -8,8 +8,10 @@
 # fault-injection suites (-tags lpchaos for the solver, -tags
 # storechaos for the storage crash-consistency harness), the daemon e2e and
 # client retry suites, the online design loop (observe ingest, drift-retune
-# e2e, restart resume, plus the lpchaos re-solve-failure case), and a short
-# fuzz smoke over the fuzz targets. Any failure aborts with a nonzero exit.
+# e2e, restart resume, plus the lpchaos re-solve-failure case), the
+# benchmark module (perfbench: vet and tests, so an internal API it uses
+# cannot vanish unnoticed), and a short fuzz smoke over the fuzz targets.
+# Any failure aborts with a nonzero exit.
 #
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime   duration for each fuzz smoke (default 5s; "0" skips fuzzing)
@@ -61,6 +63,9 @@ go test -tags lpchaos -count=1 -timeout 10m -run 'OnlineResolveFailureChaos' ./i
 
 echo "==> client retry/backoff/hedging suite (race)"
 go test -race -count=1 -timeout 5m ./internal/client
+
+echo "==> benchmark module (perfbench: go vet + go test)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> bench smoke (-benchtime=1x)"
 go test . -run '^$' -bench BenchmarkFigure1ParetoCurve -benchtime 1x >/dev/null
