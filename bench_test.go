@@ -156,9 +156,28 @@ func BenchmarkSimulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Run(100)
+	}
+}
+
+// BenchmarkFindSaturationK8 is one saturation sweep as the evalsim-k8
+// benchmark workload runs it: IVAL under tornado traffic on an 8-ary
+// 2-cube, 3 VCs per class, 8-flit buffers, 1000+3000-cycle windows at six
+// offered rates, swept serially.
+func BenchmarkFindSaturationK8(b *testing.B) {
+	cfg := sim.Config{
+		K: 8, Alg: routing.IVAL{}, Pattern: traffic.Tornado(topo.NewTorus(8)), Seed: 1,
+		VCsPerClass: 3, BufDepth: 8, Warmup: 1000, Measure: 3000, Workers: 1,
+	}
+	rates := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.8}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.FindSaturation(context.Background(), cfg, rates); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

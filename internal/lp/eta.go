@@ -162,6 +162,9 @@ func (s *Solver) pivotEta(leaveRow int, u []float64, step float64) error {
 	}
 	e.ptr = append(e.ptr, int32(len(e.pos)))
 	if e.count() >= etaRefactorCount || e.nnz() > etaRefactorFill*(s.lu.nnz()+s.nRows) {
+		// Counted here because this scheduled rebuild bypasses factorize
+		// (and with it the chaos suites' failFactor injection point).
+		s.diag.Refactorizations++
 		if err := s.factorizeSparse(); err != nil {
 			s.factorOK = false
 			return err

@@ -201,3 +201,26 @@ func TestInstallBasisRejectsGarbage(t *testing.T) {
 		t.Error("out-of-range columns accepted")
 	}
 }
+
+// TestDiagnosticsCountScheduledRefactorizations: the eta file is rebuilt
+// every etaRefactorCount pivots inside pivotEta, and each rebuild must show
+// in Diagnostics.Refactorizations like the ones factorize makes.
+func TestDiagnosticsCountScheduledRefactorizations(t *testing.T) {
+	s := NewSolver(randomBoundedLP(400, 100, 7))
+	s.SetEngine(EngineEta) // the dense engine keeps no eta file
+	sol, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal {
+		t.Fatalf("status = %v", sol.Status)
+	}
+	d := sol.Diag
+	if d.Iterations <= 3*etaRefactorCount {
+		t.Fatalf("only %d pivots; the test needs more than %d", d.Iterations, 3*etaRefactorCount)
+	}
+	if want := d.Iterations / etaRefactorCount; d.Refactorizations < want {
+		t.Errorf("%d pivots reported %d refactorizations, want at least %d (%s)",
+			d.Iterations, d.Refactorizations, want, d.Summary())
+	}
+}

@@ -401,7 +401,9 @@ func SamplePath(rng *rand.Rand, alg Algorithm, t topo.Topology, s, d topo.Node) 
 // Sampler precomputes cumulative path distributions so the simulator can
 // draw paths in O(log paths) without re-enumerating: one table per relative
 // destination on vertex-transitive topologies, one per ordered pair
-// otherwise.
+// otherwise. The tables are never written after NewSampler returns, so a
+// Sampler is safe for concurrent use: any number of goroutines may call
+// Sample (each with its own rand.Rand) and MaxLen at once.
 type Sampler struct {
 	t    topo.Topology
 	alg  Algorithm

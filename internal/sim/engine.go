@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"math/bits"
 	"sort"
 
+	"tcr/internal/paths"
 	"tcr/internal/topo"
 )
 
@@ -54,15 +56,24 @@ func (s *Sim) RunCtx(ctx context.Context, cycles int) error {
 // Simulate builds a simulator from cfg, runs its warmup window, then its
 // measurement window, and returns the stats.
 func Simulate(ctx context.Context, cfg Config) (Stats, error) {
-	s, err := New(cfg)
+	nw, err := newNetwork(cfg)
 	if err != nil {
 		return Stats{}, err
 	}
-	if err := s.RunCtx(ctx, cfg.warmup()); err != nil {
+	return nw.simulate(ctx, cfg.Rate)
+}
+
+// simulate is Simulate on a prebuilt network at one offered rate.
+func (nw *network) simulate(ctx context.Context, rate float64) (Stats, error) {
+	s, err := nw.newSim(rate)
+	if err != nil {
+		return Stats{}, err
+	}
+	if err := s.RunCtx(ctx, nw.base.warmup()); err != nil {
 		return Stats{}, err
 	}
 	s.StartMeasurement()
-	if err := s.RunCtx(ctx, cfg.measure()); err != nil {
+	if err := s.RunCtx(ctx, nw.base.measure()); err != nil {
 		return Stats{}, err
 	}
 	return s.Stats(), nil
@@ -101,9 +112,9 @@ func (s *Sim) Stats() Stats {
 // feed the deadlock watchdog.
 func (s *Sim) step() {
 	s.inject()
-	moves := s.allocate()
-	s.apply(moves)
-	if len(moves) == 0 && s.anyBuffered() {
+	s.allocate()
+	s.apply()
+	if len(s.moves) == 0 && s.queued+s.buffered > 0 {
 		s.idleCycles++
 		if s.idleCycles > 1000 {
 			s.deadlocked = true
@@ -116,39 +127,51 @@ func (s *Sim) step() {
 
 // inject generates new packets per the Bernoulli process and pattern.
 func (s *Sim) inject() {
-	pPacket := s.cfg.Rate / float64(s.cfg.PacketFlits)
-	for n := 0; n < s.t.Nodes(); n++ {
-		if s.rng.Float64() >= pPacket {
+	for n := range s.routers {
+		if s.rng.Float64() >= s.pPacket {
 			continue
 		}
-		src := topo.Node(n)
 		dst := s.drawDest(n)
-		path := s.sampler.Sample(s.rng, src, dst)
-		pkt := &packet{
-			dirs:     path.Dirs,
-			vcs:      s.classesToVCs(s.policy.Assign(s.t, path)),
-			flits:    s.cfg.PacketFlits,
-			injected: s.cycle,
-		}
-		s.routers[n].srcQueue = append(s.routers[n].srcQueue, pkt)
+		pkt := s.newPacket(s.sampler.Sample(s.rng, topo.Node(n), dst))
+		r := &s.routers[n]
+		r.srcQueue = append(r.srcQueue, pkt)
+		s.queued++
 		if s.measuring {
 			s.injFlits += s.cfg.PacketFlits
 		}
 	}
 }
 
-// classesToVCs maps the policy's class labels to concrete VC indices, with
-// a random sub-channel per packet when VCsPerClass > 1.
-func (s *Sim) classesToVCs(classes []int) []int {
-	sub := 0
-	if s.cfg.VCsPerClass > 1 {
-		sub = s.rng.Intn(s.cfg.VCsPerClass)
+// newPacket carves a packet and its per-hop VC indices from the slabs. The
+// policy's class labels map to concrete VCs with a random sub-channel per
+// packet when VCsPerClass > 1. A built-in policy writes its classes
+// straight into the packet's VC slice; a custom policy's Assign result is
+// copied, never written, since the policy may share it.
+func (s *Sim) newPacket(path paths.Path) *packet {
+	if len(s.pktSlab) == 0 {
+		s.pktSlab = make([]packet, pktSlabLen)
 	}
-	vcs := make([]int, len(classes))
-	for i, c := range classes {
-		vcs[i] = c*s.cfg.VCsPerClass + sub
+	pkt := &s.pktSlab[0]
+	s.pktSlab = s.pktSlab[1:]
+	h := len(path.Dirs)
+	if len(s.vcSlab) < h {
+		s.vcSlab = make([]int, max(vcSlabLen, h))
 	}
-	return vcs
+	vcs := s.vcSlab[:h:h]
+	s.vcSlab = s.vcSlab[h:]
+	if s.writer != nil {
+		s.writer.assignTo(vcs, s.t, path)
+	} else {
+		copy(vcs, s.policy.Assign(s.t, path))
+	}
+	if per := s.cfg.VCsPerClass; per > 1 {
+		sub := s.rng.Intn(per)
+		for i, c := range vcs {
+			vcs[i] = c*per + sub
+		}
+	}
+	*pkt = packet{dirs: path.Dirs, vcs: vcs, flits: s.cfg.PacketFlits, injected: s.cycle}
+	return pkt
 }
 
 // drawDest samples a destination from the source's traffic row.
@@ -162,17 +185,29 @@ func (s *Sim) drawDest(src int) topo.Node {
 	return topo.Node(i)
 }
 
+// req is one input's request for an output in switch allocation: the
+// head flit of input VC vc at port (port < 0 for the injection queue),
+// bound for downstream VC dstVC.
+type req struct {
+	port, vc, dstVC int32
+}
+
 // allocate performs, per node, VC allocation and round-robin switch
-// allocation, producing the cycle's granted moves.
-func (s *Sim) allocate() []move {
-	var moves []move
+// allocation, leaving the cycle's granted moves in s.moves. Only routers
+// holding a flit or a queued packet are visited, and within one only its
+// occupied input VCs, in ascending (port, VC) order; an idle router makes
+// no request, so skipping it leaves its round-robin pointers as they are.
+func (s *Sim) allocate() {
+	moves := s.moves[:0]
 	// Requests per output: indices 0..deg-1 are the node's ports, index
 	// deg is ejection. The scratch is shared across nodes, sized by the
 	// widest router, and truncated per node.
-	reqs := make([][]move, s.t.MaxDeg()+1)
+	reqs := s.reqs
 	for n := range s.routers {
 		r := &s.routers[n]
-		node := topo.Node(n)
+		if r.busy == 0 && r.srcHead == len(r.srcQueue) {
+			continue
+		}
 		deg := len(r.in)
 		for out := 0; out <= deg; out++ {
 			reqs[out] = reqs[out][:0]
@@ -180,35 +215,29 @@ func (s *Sim) allocate() []move {
 
 		// Buffered input VCs.
 		for p := 0; p < deg; p++ {
-			for v := range r.in[p] {
-				vc := &r.in[p][v]
-				if len(vc.buf) == 0 {
-					continue
+			for w, word := range r.occ[p*s.occWords : (p+1)*s.occWords] {
+				for ; word != 0; word &= word - 1 {
+					v := w<<6 | bits.TrailingZeros64(word)
+					fr := r.in[p][v].at(0)
+					if int(fr.hop) >= len(fr.pkt.dirs) {
+						reqs[deg] = append(reqs[deg], req{port: int32(p), vc: int32(v)})
+						continue
+					}
+					out := int(fr.pkt.dirs[fr.hop])
+					dstVC := fr.pkt.vcs[fr.hop]
+					if r.ready(out, dstVC, fr.pkt) {
+						reqs[out] = append(reqs[out], req{port: int32(p), vc: int32(v), dstVC: int32(dstVC)})
+					}
 				}
-				fr := vc.buf[0]
-				if int(fr.hop) >= len(fr.pkt.dirs) {
-					reqs[deg] = append(reqs[deg],
-						move{node: node, srcPort: p, srcVC: v, eject: true})
-					continue
-				}
-				out := int(fr.pkt.dirs[fr.hop])
-				dstVC := fr.pkt.vcs[fr.hop]
-				if !s.downstreamReady(node, out, dstVC, fr.pkt) {
-					continue
-				}
-				reqs[out] = append(reqs[out],
-					move{node: node, srcPort: p, srcVC: v, outPort: out, dstVC: dstVC})
 			}
 		}
 		// Injection queue head.
-		if len(r.srcQueue) > 0 {
-			pkt := r.srcQueue[0]
+		if r.srcHead < len(r.srcQueue) {
+			pkt := r.srcQueue[r.srcHead]
 			if len(pkt.dirs) == 0 {
-				reqs[deg] = append(reqs[deg],
-					move{node: node, srcPort: -1, eject: true})
-			} else if out := int(pkt.dirs[0]); s.downstreamReady(node, out, pkt.vcs[0], pkt) {
-				reqs[out] = append(reqs[out],
-					move{node: node, srcPort: -1, outPort: out, dstVC: pkt.vcs[0]})
+				reqs[deg] = append(reqs[deg], req{port: -1})
+			} else if out := int(pkt.dirs[0]); r.ready(out, pkt.vcs[0], pkt) {
+				reqs[out] = append(reqs[out], req{port: -1, dstVC: int32(pkt.vcs[0])})
 			}
 		}
 
@@ -220,22 +249,21 @@ func (s *Sim) allocate() []move {
 			}
 			pick := cands[r.rrOut[out]%len(cands)]
 			r.rrOut[out]++
-			moves = append(moves, pick)
+			moves = append(moves, move{node: topo.Node(n), srcPort: int(pick.port), srcVC: int(pick.vc),
+				eject: out == deg, outPort: out, dstVC: int(pick.dstVC)})
 		}
 	}
-	return moves
+	s.moves = moves
 }
 
-// downstreamReady checks credits and VC ownership at the input buffer the
-// flit would land in: the VC must be free or already held by this packet,
-// and a buffer slot must be available.
-func (s *Sim) downstreamReady(node topo.Node, out int, dstVC int, pkt *packet) bool {
-	r := &s.routers[node]
+// ready checks credits and VC ownership at the input buffer a flit of pkt
+// leaving through output out would land in: the VC must be free or already
+// held by this packet, and a buffer slot must be available.
+func (r *router) ready(out, dstVC int, pkt *packet) bool {
 	if r.credits[out][dstVC] <= 0 {
 		return false
 	}
-	nb := s.neighbor[node][out]
-	owner := s.routers[nb].in[s.revPort[node][out]][dstVC].owner
+	owner := r.down[out][dstVC].owner
 	return owner == nil || owner == pkt
 }
 
@@ -244,22 +272,26 @@ func (s *Sim) downstreamReady(node topo.Node, out int, dstVC int, pkt *packet) b
 // neighbor's input port revPort[n][out]; conversely, a flit dequeued from
 // input port p came from neighbor[n][p], whose credit counter for the
 // channel toward us is indexed by revPort[n][p].
-func (s *Sim) apply(moves []move) {
-	for _, mv := range moves {
+func (s *Sim) apply() {
+	for _, mv := range s.moves {
 		r := &s.routers[mv.node]
 		var fr flitRef
 		if mv.srcPort < 0 {
-			pkt := r.srcQueue[0]
+			pkt := r.srcQueue[r.srcHead]
 			r.srcSent++
 			fr = flitRef{pkt: pkt, hop: 0, last: r.srcSent == pkt.flits}
 			if fr.last {
-				r.srcQueue = r.srcQueue[1:]
+				r.popSrc()
 				r.srcSent = 0
+				s.queued--
 			}
 		} else {
 			vc := &r.in[mv.srcPort][mv.srcVC]
-			fr = vc.buf[0]
-			vc.buf = vc.buf[1:]
+			fr = vc.pop()
+			s.buffered--
+			if vc.n == 0 {
+				r.clearOcc(mv.srcPort, mv.srcVC, s.occWords)
+			}
 			if fr.last {
 				vc.owner = nil
 			}
@@ -278,31 +310,16 @@ func (s *Sim) apply(moves []move) {
 			continue
 		}
 
-		nb := s.neighbor[mv.node][mv.outPort]
-		dst := &s.routers[nb].in[s.revPort[mv.node][mv.outPort]][mv.dstVC]
+		dst := &r.down[mv.outPort][mv.dstVC]
 		if dst.owner == nil {
 			dst.owner = fr.pkt
 		}
 		fr.hop++
-		dst.buf = append(dst.buf, fr)
+		if dst.n == 0 {
+			s.routers[s.neighbor[mv.node][mv.outPort]].setOcc(s.revPort[mv.node][mv.outPort], mv.dstVC, s.occWords)
+		}
+		dst.push(fr)
+		s.buffered++
 		r.credits[mv.outPort][mv.dstVC]--
 	}
-}
-
-// anyBuffered reports whether any flit is waiting anywhere.
-func (s *Sim) anyBuffered() bool {
-	for n := range s.routers {
-		r := &s.routers[n]
-		if len(r.srcQueue) > 0 {
-			return true
-		}
-		for p := range r.in {
-			for v := range r.in[p] {
-				if len(r.in[p][v].buf) > 0 {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }

@@ -27,10 +27,10 @@ func TestCreditConservation(t *testing.T) {
 					down := &s.routers[s.neighbor[n][p]]
 					in := s.revPort[n][p]
 					for v := 0; v < s.nVCs; v++ {
-						total := up.credits[p][v] + len(down.in[in][v].buf)
+						total := up.credits[p][v] + down.in[in][v].len()
 						if total != s.cfg.BufDepth {
 							t.Fatalf("cycle %d node %d port %d vc %d: credits %d + occupancy %d != depth %d",
-								step, n, p, v, up.credits[p][v], len(down.in[in][v].buf), s.cfg.BufDepth)
+								step, n, p, v, up.credits[p][v], down.in[in][v].len(), s.cfg.BufDepth)
 						}
 					}
 				}
@@ -52,16 +52,16 @@ func TestVCAtomicity(t *testing.T) {
 			r := &s.routers[n]
 			for d := range r.in {
 				for v := range r.in[d] {
-					buf := r.in[d][v].buf
+					vc := &r.in[d][v]
 					// Scan: packet may only change right after a tail.
-					for i := 1; i < len(buf); i++ {
-						if buf[i].pkt != buf[i-1].pkt && !buf[i-1].last {
+					for i := 1; i < vc.len(); i++ {
+						if vc.at(i).pkt != vc.at(i-1).pkt && !vc.at(i-1).last {
 							t.Fatalf("cycle %d: interleaved packets in node %d port %d vc %d",
 								step, n, d, v)
 						}
 					}
 					// Owner matches the head's packet.
-					if len(buf) > 0 && r.in[d][v].owner != buf[0].pkt {
+					if vc.len() > 0 && vc.owner != vc.at(0).pkt {
 						t.Fatalf("cycle %d: owner mismatch at node %d", step, n)
 					}
 				}
@@ -81,7 +81,9 @@ func TestHopProgression(t *testing.T) {
 		r := &s.routers[n]
 		for d := range r.in {
 			for v := range r.in[d] {
-				for _, fr := range r.in[d][v].buf {
+				vc := &r.in[d][v]
+				for i := 0; i < vc.len(); i++ {
+					fr := vc.at(i)
 					if fr.hop < 1 || int(fr.hop) > len(fr.pkt.dirs) {
 						t.Fatalf("flit hop %d outside route length %d", fr.hop, len(fr.pkt.dirs))
 					}
@@ -105,5 +107,18 @@ func TestEjectionBandwidth(t *testing.T) {
 			t.Fatalf("cycle %d: %d flits ejected network-wide (> N=%d)", i, cur-prev, s.t.Nodes())
 		}
 		prev = cur
+	}
+}
+
+// TestStepAllocations: once warmed, a cycle reuses every buffer, and only
+// a slab refill (one per pktSlabLen packets or vcSlabLen hops) allocates,
+// so a k=8 IVAL cycle averages well under one allocation.
+func TestStepAllocations(t *testing.T) {
+	s := mustNew(t, Config{K: 8, Rate: 0.3, Seed: 3, Alg: routing.IVAL{}})
+	s.Run(2000)
+	avg := testing.AllocsPerRun(100, s.step)
+	t.Logf("%.2f allocations per cycle", avg)
+	if avg >= 1 {
+		t.Fatalf("%.2f allocations per cycle, want < 1", avg)
 	}
 }

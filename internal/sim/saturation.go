@@ -48,16 +48,21 @@ type RatePoint struct {
 // independent simulations (each seeded from cfg.Seed) and run on
 // cfg.Workers goroutines; the curve and plateau are assembled in rate
 // order afterwards, so the result is identical for every worker count.
+// The routing sampler, VC policy and destination CDFs are built once and
+// shared read-only by every point. An invalid configuration is an error;
+// an invalid rate fails only its own point.
 func FindSaturation(ctx context.Context, cfg Config, rates []float64) (SaturationResult, error) {
 	if len(rates) == 0 {
 		rates = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 	}
+	nw, err := newNetwork(cfg)
+	if err != nil {
+		return SaturationResult{}, err
+	}
 	stats := make([]Stats, len(rates))
 	errs := make([]error, len(rates))
-	err := par.Do(ctx, len(rates), cfg.Workers, func(i int) error {
-		c := cfg
-		c.Rate = rates[i]
-		st, err := Simulate(ctx, c)
+	err = par.Do(ctx, len(rates), cfg.Workers, func(i int) error {
+		st, err := nw.simulate(ctx, rates[i])
 		if err != nil {
 			if ctx.Err() != nil {
 				return err

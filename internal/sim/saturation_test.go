@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -80,5 +81,28 @@ func TestFindSaturationBadPoint(t *testing.T) {
 	}
 	if len(res.Curve) != 2 {
 		t.Fatalf("curve has %d points, want the 2 survivors", len(res.Curve))
+	}
+}
+
+// TestFindSaturationWorkerInvariant: the rate points share one read-only
+// network and each seeds its own RNG, so the sweep result must not depend
+// on how many goroutines run it.
+func TestFindSaturationWorkerInvariant(t *testing.T) {
+	cfg := Config{K: 4, Seed: 9, Alg: routing.IVAL{}, VCsPerClass: 2, Warmup: 300, Measure: 1000}
+	rates := []float64{0.2, 0.4, 0.6, 0.8}
+	var first SaturationResult
+	for i, workers := range []int{1, 2, 4} {
+		cfg.Workers = workers
+		res, err := FindSaturation(context.Background(), cfg, rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res
+			continue
+		}
+		if !reflect.DeepEqual(res, first) {
+			t.Fatalf("Workers=%d: %+v\nWorkers=1: %+v", workers, res, first)
+		}
 	}
 }

@@ -22,6 +22,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"tcr/internal/paths"
@@ -55,7 +56,11 @@ func (DatelinePolicy) Classes() int { return 2 }
 
 // Assign implements VCPolicy.
 func (DatelinePolicy) Assign(t topo.Topology, p paths.Path) []int {
-	return assignDateline(t.(*topo.Torus), p, 0)
+	return assignNew(DatelinePolicy{}, t, p)
+}
+
+func (DatelinePolicy) assignTo(classes []int, t topo.Topology, p paths.Path) {
+	assignDateline(classes, t.(*topo.Torus), p, 0)
 }
 
 // TurnDatelinePolicy implements the paper's scheme for two-turn paths
@@ -73,7 +78,11 @@ func (TurnDatelinePolicy) Classes() int { return 4 }
 
 // Assign implements VCPolicy.
 func (TurnDatelinePolicy) Assign(t topo.Topology, p paths.Path) []int {
-	return assignDateline(t.(*topo.Torus), p, 1)
+	return assignNew(TurnDatelinePolicy{}, t, p)
+}
+
+func (TurnDatelinePolicy) assignTo(classes []int, t topo.Topology, p paths.Path) {
+	assignDateline(classes, t.(*topo.Torus), p, 1)
 }
 
 // HopClassPolicy is the topology-agnostic fallback: hop i uses class i, so
@@ -95,10 +104,26 @@ func (p HopClassPolicy) Classes() int { return p.NumClasses }
 
 // Assign implements VCPolicy.
 func (p HopClassPolicy) Assign(t topo.Topology, path paths.Path) []int {
-	classes := make([]int, len(path.Dirs))
+	return assignNew(p, t, path)
+}
+
+func (HopClassPolicy) assignTo(classes []int, _ topo.Topology, _ paths.Path) {
 	for i := range classes {
 		classes[i] = i
 	}
+}
+
+// classWriter is implemented by the built-in policies: assignTo writes the
+// hop classes of p into classes (len(classes) == p.Len()), so the simulator
+// can label a packet's hops in its own storage without allocating.
+type classWriter interface {
+	assignTo(classes []int, t topo.Topology, p paths.Path)
+}
+
+// assignNew is the allocating Assign of a built-in policy.
+func assignNew(w classWriter, t topo.Topology, p paths.Path) []int {
+	classes := make([]int, len(p.Dirs))
+	w.assignTo(classes, t, p)
 	return classes
 }
 
@@ -109,9 +134,9 @@ func (p HopClassPolicy) Assign(t topo.Topology, path paths.Path) []int {
 // two-turn paths this is exactly the paper's bump-after-Y-to-X rule; for
 // the two-phase algorithms (VAL, IVAL, ROMM, RLB) it coincides with the
 // phase change, giving each set a dimension-ordered, reversal-free prefix
-// whose channel dependences are acyclic under the dateline rule.
-func assignDateline(t *topo.Torus, p paths.Path, turnBit int) []int {
-	classes := make([]int, len(p.Dirs))
+// whose channel dependences are acyclic under the dateline rule. It writes
+// one class per hop into classes.
+func assignDateline(classes []int, t *topo.Torus, p paths.Path, turnBit int) {
 	n := p.Src
 	set := 0
 	dateline := 0
@@ -156,7 +181,6 @@ func assignDateline(t *topo.Torus, p paths.Path, turnBit int) []int {
 		}
 		n = nxt
 	}
-	return classes
 }
 
 // PolicyFor returns the conventional torus2d policy for an algorithm name:
@@ -231,7 +255,8 @@ type Stats struct {
 	Deadlocked bool
 }
 
-// packet is an in-flight packet with its precomputed route.
+// packet is an in-flight packet with its precomputed route. Packets and
+// their vcs are carved from the Sim's slabs (see newPacket).
 type packet struct {
 	dirs     []topo.Dir // per-hop output port at the node reached so far
 	vcs      []int      // concrete VC per hop
@@ -239,12 +264,51 @@ type packet struct {
 	injected int // cycle the packet entered the source queue
 }
 
-// vcState is one virtual channel of one input port.
+// vcState is one virtual channel of one input port. Its flits sit in a
+// ring FIFO whose capacity is the buffer depth: credit flow control never
+// lets the upstream router send into a full buffer.
 type vcState struct {
-	buf []flitRef // FIFO of buffered flits
+	ring []flitRef // the FIFO is ring[head], ring[head+1], ... (wrapping), n flits
+	head int
+	n    int
 	// owner is the packet currently allocated this VC (nil when idle).
 	// Allocation is atomic head-to-tail.
 	owner *packet
+}
+
+// len returns the number of buffered flits.
+func (vc *vcState) len() int { return vc.n }
+
+// at returns the i-th buffered flit, the head being 0.
+func (vc *vcState) at(i int) flitRef {
+	j := vc.head + i
+	if j >= len(vc.ring) {
+		j -= len(vc.ring)
+	}
+	return vc.ring[j]
+}
+
+// push appends a flit at the tail.
+func (vc *vcState) push(fr flitRef) {
+	j := vc.head + vc.n
+	if j >= len(vc.ring) {
+		j -= len(vc.ring)
+	}
+	vc.ring[j] = fr
+	vc.n++
+}
+
+// pop removes and returns the head flit, clearing its slot so the ring
+// keeps no departed packet reachable.
+func (vc *vcState) pop() flitRef {
+	fr := vc.ring[vc.head]
+	vc.ring[vc.head] = flitRef{}
+	vc.head++
+	if vc.head == len(vc.ring) {
+		vc.head = 0
+	}
+	vc.n--
+	return fr
 }
 
 type flitRef struct {
@@ -261,24 +325,71 @@ type router struct {
 	in [][]vcState
 	// credits[p][vc]: free downstream slots for the output at port p.
 	credits [][]int
-	// source queue of packets awaiting injection, plus a partially
-	// injected packet's remaining flits.
+	// down[p] is the input bank the output at port p feeds: the
+	// neighbor's in[revPort].
+	down [][]vcState
+	// occ has one bit per input VC, set while the VC holds a flit: port p
+	// owns words occ[p*occWords : (p+1)*occWords], VC v is bit v%64 of the
+	// port's word v/64. busy counts the set bits.
+	occ  []uint64
+	busy int
+	// Source queue of packets awaiting injection: srcQueue[srcHead:] in
+	// order, the head possibly partially injected (srcSent flits sent).
 	srcQueue []*packet
-	srcSent  int // flits of srcQueue[0] already injected
+	srcHead  int
+	srcSent  int
 	// rrOut[p] is the round-robin pointer of output p; rrOut[OutDeg] is
 	// the ejection port's.
 	rrOut []int
 }
 
-// Sim is a running simulation.
-type Sim struct {
-	cfg     Config
+// setOcc and clearOcc mark input VC v of port p occupied or empty.
+func (r *router) setOcc(p, v, occWords int) {
+	r.occ[p*occWords+v>>6] |= 1 << (v & 63)
+	r.busy++
+}
+
+func (r *router) clearOcc(p, v, occWords int) {
+	r.occ[p*occWords+v>>6] &^= 1 << (v & 63)
+	r.busy--
+}
+
+// popSrc removes the source queue's head. The queue's backing array is
+// reused: it rewinds when the queue drains, and the live tail is moved to
+// the front once the consumed prefix is at least half the slice.
+func (r *router) popSrc() {
+	r.srcQueue[r.srcHead] = nil
+	r.srcHead++
+	switch n := len(r.srcQueue); {
+	case r.srcHead == n:
+		r.srcQueue = r.srcQueue[:0]
+		r.srcHead = 0
+	case r.srcHead >= srcCompactMin && 2*r.srcHead >= n:
+		live := copy(r.srcQueue, r.srcQueue[r.srcHead:])
+		clear(r.srcQueue[live:n])
+		r.srcQueue = r.srcQueue[:live]
+		r.srcHead = 0
+	}
+}
+
+// srcCompactMin is the consumed-prefix length below which popSrc does not
+// bother compacting a source queue.
+const srcCompactMin = 32
+
+// network is the part of a simulation fixed by its topology, routing,
+// policy and traffic pattern. It is read-only once built, so
+// FindSaturation builds one per sweep and shares it across the sweep's
+// concurrent rate points.
+type network struct {
+	base    Config // the configuration with defaults applied; Rate is per Sim
 	t       topo.Topology
-	rng     *rand.Rand
 	sampler *routing.Sampler
 	policy  VCPolicy
-	routers []router
-	nVCs    int // total VCs per input port
+	// writer is policy's allocation-free form when it is a built-in
+	// policy, nil otherwise.
+	writer   classWriter
+	nVCs     int // total VCs per input port
+	occWords int // occupancy words per input port
 	// Per-node link tables, precomputed so the per-flit hot path does no
 	// interface calls: port p of node n reaches neighbor[n][p], landing in
 	// its input bank at index revPort[n][p] (the port of the reverse
@@ -286,6 +397,29 @@ type Sim struct {
 	// for traffic flowing back to n).
 	neighbor [][]topo.Node
 	revPort  [][]int
+	destCum  [][]float64 // per-source destination CDF
+}
+
+// Sim is a running simulation.
+type Sim struct {
+	*network
+	cfg     Config
+	rng     *rand.Rand
+	pPacket float64 // per-node, per-cycle packet injection probability
+	routers []router
+
+	// Per-cycle scratch, reused every cycle: reqs[out] collects one
+	// router's requests for output out (index OutDeg is ejection), and
+	// moves the cycle's grants.
+	reqs  [][]req
+	moves []move
+	// Slabs that injected packets and their per-hop VC indices are carved
+	// from; a new chunk is allocated only when one runs out.
+	pktSlab []packet
+	vcSlab  []int
+
+	queued   int // packets in source queues
+	buffered int // flits in input VCs
 
 	cycle        int
 	measureStart int
@@ -296,13 +430,28 @@ type Sim struct {
 	idleCycles   int
 	deadlocked   bool
 	measuring    bool
-	destCum      [][]float64 // per-source destination CDF
 }
+
+// Slab chunk lengths for packets and per-hop VC indices.
+const (
+	pktSlabLen = 256
+	vcSlabLen  = 4096
+)
 
 // New builds a simulator. Configuration is external input (CLI flags,
 // sweep scripts), so nonsensical values are reported as errors rather than
 // panics.
 func New(cfg Config) (*Sim, error) {
+	nw, err := newNetwork(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return nw.newSim(cfg.Rate)
+}
+
+// newNetwork validates cfg apart from its Rate, applies the defaults and
+// builds the read-only tables.
+func newNetwork(cfg Config) (*network, error) {
 	t := cfg.Topo
 	if t == nil {
 		if cfg.K < 2 {
@@ -310,8 +459,13 @@ func New(cfg Config) (*Sim, error) {
 		}
 		t = topo.NewTorus(cfg.K)
 	}
-	if cfg.Rate < 0 {
-		return nil, fmt.Errorf("sim: negative injection rate %g", cfg.Rate)
+	switch {
+	case cfg.VCsPerClass < 0:
+		return nil, fmt.Errorf("sim: negative VCs per class %d", cfg.VCsPerClass)
+	case cfg.BufDepth < 0:
+		return nil, fmt.Errorf("sim: negative buffer depth %d", cfg.BufDepth)
+	case cfg.PacketFlits < 0:
+		return nil, fmt.Errorf("sim: negative packet length %d", cfg.PacketFlits)
 	}
 	if cfg.VCsPerClass == 0 {
 		cfg.VCsPerClass = 1
@@ -345,39 +499,31 @@ func New(cfg Config) (*Sim, error) {
 	if pattern.N != t.Nodes() {
 		return nil, fmt.Errorf("sim: pattern size %d != network size %d", pattern.N, t.Nodes())
 	}
-	s := &Sim{
-		cfg:     cfg,
-		t:       t,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		sampler: sampler,
-		policy:  policy,
-		nVCs:    policy.Classes() * cfg.VCsPerClass,
+	nVCs := policy.Classes() * cfg.VCsPerClass
+	nw := &network{
+		base:     cfg,
+		t:        t,
+		sampler:  sampler,
+		policy:   policy,
+		nVCs:     nVCs,
+		occWords: (nVCs + 63) / 64,
 	}
+	nw.writer, _ = policy.(classWriter)
 	nNodes := t.Nodes()
-	s.routers = make([]router, nNodes)
-	s.neighbor = make([][]topo.Node, nNodes)
-	s.revPort = make([][]int, nNodes)
-	for n := range s.routers {
+	nw.neighbor = make([][]topo.Node, nNodes)
+	nw.revPort = make([][]int, nNodes)
+	for n := 0; n < nNodes; n++ {
 		deg := t.OutDeg(topo.Node(n))
-		r := &s.routers[n]
-		r.in = make([][]vcState, deg)
-		r.credits = make([][]int, deg)
-		r.rrOut = make([]int, deg+1)
-		s.neighbor[n] = make([]topo.Node, deg)
-		s.revPort[n] = make([]int, deg)
+		nw.neighbor[n] = make([]topo.Node, deg)
+		nw.revPort[n] = make([]int, deg)
 		for p := 0; p < deg; p++ {
-			r.in[p] = make([]vcState, s.nVCs)
-			r.credits[p] = make([]int, s.nVCs)
-			for v := range r.credits[p] {
-				r.credits[p][v] = cfg.BufDepth
-			}
 			c := t.PortChan(topo.Node(n), p)
-			s.neighbor[n][p] = t.ChanDst(c)
-			s.revPort[n][p] = t.ChanPort(t.ReverseChan(c))
+			nw.neighbor[n][p] = t.ChanDst(c)
+			nw.revPort[n][p] = t.ChanPort(t.ReverseChan(c))
 		}
 	}
 	// Destination CDFs for injection.
-	s.destCum = make([][]float64, nNodes)
+	nw.destCum = make([][]float64, nNodes)
 	for src := 0; src < nNodes; src++ {
 		cum := make([]float64, nNodes)
 		var acc float64
@@ -385,7 +531,72 @@ func New(cfg Config) (*Sim, error) {
 			acc += pattern.L[src][d]
 			cum[d] = acc
 		}
-		s.destCum[src] = cum
+		nw.destCum[src] = cum
+	}
+	return nw, nil
+}
+
+// newSim builds an empty network's simulator at one offered rate. The
+// per-port state (VCs, credits, flit rings, occupancy words) is carved
+// from one backing array each.
+func (nw *network) newSim(rate float64) (*Sim, error) {
+	if math.IsNaN(rate) || math.IsInf(rate, 0) {
+		return nil, fmt.Errorf("sim: non-finite injection rate %g", rate)
+	}
+	if rate < 0 {
+		return nil, fmt.Errorf("sim: negative injection rate %g", rate)
+	}
+	cfg := nw.base
+	cfg.Rate = rate
+	s := &Sim{
+		network: nw,
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		pPacket: rate / float64(cfg.PacketFlits),
+		reqs:    make([][]req, nw.t.MaxDeg()+1),
+	}
+	nNodes := nw.t.Nodes()
+	ports := 0
+	for n := 0; n < nNodes; n++ {
+		ports += len(nw.neighbor[n])
+	}
+	depth := cfg.BufDepth
+	inBank := make([][]vcState, ports)
+	downBank := make([][]vcState, ports)
+	creditBank := make([][]int, ports)
+	vcs := make([]vcState, ports*nw.nVCs)
+	credits := make([]int, ports*nw.nVCs)
+	rings := make([]flitRef, ports*nw.nVCs*depth)
+	occ := make([]uint64, ports*nw.occWords)
+	rr := make([]int, ports+nNodes)
+	for i := range vcs {
+		vcs[i].ring = rings[i*depth : (i+1)*depth : (i+1)*depth]
+		credits[i] = depth
+	}
+	for i := range inBank {
+		inBank[i] = vcs[i*nw.nVCs : (i+1)*nw.nVCs : (i+1)*nw.nVCs]
+		creditBank[i] = credits[i*nw.nVCs : (i+1)*nw.nVCs : (i+1)*nw.nVCs]
+	}
+	s.routers = make([]router, nNodes)
+	port := 0
+	for n := range s.routers {
+		deg := len(nw.neighbor[n])
+		s.routers[n] = router{
+			in:      inBank[port : port+deg : port+deg],
+			credits: creditBank[port : port+deg : port+deg],
+			occ:     occ[port*nw.occWords : (port+deg)*nw.occWords : (port+deg)*nw.occWords],
+			rrOut:   rr[port+n : port+n+deg+1 : port+n+deg+1],
+		}
+		port += deg
+	}
+	port = 0
+	for n := range s.routers {
+		deg := len(nw.neighbor[n])
+		for p := 0; p < deg; p++ {
+			downBank[port+p] = s.routers[nw.neighbor[n][p]].in[nw.revPort[n][p]]
+		}
+		s.routers[n].down = downBank[port : port+deg : port+deg]
+		port += deg
 	}
 	return s, nil
 }

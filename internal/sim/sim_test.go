@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -280,5 +281,23 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 	if _, err := New(Config{K: 4, Alg: routing.DOR{}, Pattern: traffic.Uniform(9)}); err == nil {
 		t.Fatal("mismatched pattern size accepted")
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative VCs per class", Config{K: 4, Alg: routing.DOR{}, VCsPerClass: -1}},
+		{"negative buffer depth", Config{K: 4, Alg: routing.DOR{}, BufDepth: -1}},
+		{"negative packet length", Config{K: 4, Alg: routing.DOR{}, PacketFlits: -1}},
+		{"negative rate", Config{K: 4, Alg: routing.DOR{}, Rate: -0.1}},
+		{"NaN rate", Config{K: 4, Alg: routing.DOR{}, Rate: math.NaN()}},
+		{"infinite rate", Config{K: 4, Alg: routing.DOR{}, Rate: math.Inf(1)}},
+	} {
+		if _, err := New(c.cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+		if _, err := Simulate(context.Background(), c.cfg); err == nil {
+			t.Errorf("%s accepted by Simulate", c.name)
+		}
 	}
 }

@@ -1,5 +1,6 @@
 #!/bin/sh
-# bench.sh - record the LP-engine benchmark suite into BENCH_lp.json.
+# bench.sh - record the LP-engine benchmark suite into BENCH_lp.json and the
+# flit-simulator benchmarks into BENCH_sim.json.
 #
 # Runs the internal/lp engine benchmarks (cold solve, warm AddCut/SetRHS
 # episodes, factorize and FTRAN microbenches, each with an eta and a dense
@@ -7,22 +8,26 @@
 # cold solve and torus3d:4 / mesh:8x8 model builds) and the end-to-end
 # Figure 1 Pareto benchmark under both the default (eta) build and the
 # -tags lpdense build, and serializes the
-# ns/op, B/op, and allocs/op figures with cmd/benchjson.
+# ns/op, B/op, and allocs/op figures with cmd/benchjson. The simulator
+# benchmarks (BenchmarkSimulator: 100 cycles of a k=8 IVAL network;
+# BenchmarkFindSaturationK8: one serial k=8 saturation sweep) run at -cpu 1
+# into BENCH_sim.json.
 #
 # Usage: scripts/bench.sh [benchtime]
 #   benchtime  go test -benchtime value (default 10x; use e.g. 2s for
 #              steadier numbers, 1x for a smoke run)
 #
-# The refreshed BENCH_lp.json doubles as the baseline for the soft
-# regression gate in scripts/check.sh (cmd/benchjson -diff); re-run this
-# script to re-baseline after an intentional performance change.
+# The refreshed BENCH_lp.json and BENCH_sim.json double as the baselines for
+# the soft regression gates in scripts/check.sh (cmd/benchjson -diff); re-run
+# this script to re-baseline after an intentional performance change.
 set -eu
 
 cd "$(dirname "$0")/.."
 BENCHTIME="${1:-10x}"
 OUT="BENCH_lp.json"
+SIM_OUT="BENCH_sim.json"
 
-rm -f "$OUT"
+rm -f "$OUT" "$SIM_OUT"
 
 echo "==> internal/lp engine benchmarks (benchtime=$BENCHTIME)"
 go test ./internal/lp -run '^$' -bench . -benchtime "$BENCHTIME" -benchmem \
@@ -36,4 +41,8 @@ echo "==> Figure 1 Pareto benchmark, dense engine (-tags lpdense)"
 go test -tags lpdense . -run '^$' -bench BenchmarkFigure1ParetoCurve -benchtime "$BENCHTIME" -benchmem \
 	| tee /dev/stderr | go run ./cmd/benchjson -o "$OUT" -label "/dense"
 
-echo "==> wrote $OUT"
+echo "==> flit-simulator benchmarks (-cpu 1)"
+go test . -run '^$' -bench 'BenchmarkSimulator$|BenchmarkFindSaturationK8$' -benchtime "$BENCHTIME" -benchmem -cpu 1 \
+	| tee /dev/stderr | go run ./cmd/benchjson -o "$SIM_OUT"
+
+echo "==> wrote $OUT and $SIM_OUT"

@@ -81,6 +81,13 @@ if ! go test ./internal/lp -run '^$' -bench . -benchtime 1x -benchmem \
 	echo "WARNING: bench smoke regressed vs BENCH_lp.json (soft gate, not failing check)"
 fi
 
+# The same soft gate for the flit simulator against BENCH_sim.json.
+echo "==> bench diff vs BENCH_sim.json (soft gate, threshold 3x)"
+if ! go test . -run '^$' -bench 'BenchmarkSimulator$|BenchmarkFindSaturationK8$' -benchtime 1x -benchmem -cpu 1 \
+	| go run ./cmd/benchjson -diff BENCH_sim.json -threshold 3; then
+	echo "WARNING: bench smoke regressed vs BENCH_sim.json (soft gate, not failing check)"
+fi
+
 if [ "$FUZZTIME" != "0" ]; then
 	echo "==> fuzz smoke: FuzzReadMPS ($FUZZTIME)"
 	go test ./internal/lp -run='^$' -fuzz=FuzzReadMPS -fuzztime="$FUZZTIME"
