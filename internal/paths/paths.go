@@ -110,16 +110,6 @@ func (p Path) RevisitsChannel(t topo.Topology) bool {
 	return false
 }
 
-// Apply maps the path through a torus automorphism: the source through the
-// full automorphism, each hop direction through its dihedral part.
-func (p Path) Apply(t *topo.Torus, a topo.Aut) Path {
-	dirs := make([]topo.Dir, len(p.Dirs))
-	for i, d := range p.Dirs {
-		dirs[i] = a.M.ApplyDir(d)
-	}
-	return Path{Src: t.ApplyNode(a, p.Src), Dirs: dirs}
-}
-
 // Concat joins two paths; q must start where p ends (callers guarantee it).
 func Concat(p, q Path) Path {
 	dirs := make([]topo.Dir, 0, len(p.Dirs)+len(q.Dirs))

@@ -297,8 +297,12 @@ func TestMinimalTwoTurnPaths(t *testing.T) {
 	}
 }
 
+// TestApplyAutomorphismPreservesShape maps random paths hop by hop through
+// torus automorphisms: the image keeps the length and turn count and ends
+// at the image of the destination.
 func TestApplyAutomorphismPreservesShape(t *testing.T) {
 	tor := topo.NewTorus(8)
+	g := tor.Group()
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		dirs := make([]topo.Dir, 1+rng.Intn(8))
@@ -306,12 +310,17 @@ func TestApplyAutomorphismPreservesShape(t *testing.T) {
 			dirs[i] = topo.Dir(rng.Intn(topo.NumDirs))
 		}
 		p := Path{Src: topo.Node(rng.Intn(tor.N)), Dirs: dirs}
-		a := topo.Aut{M: topo.Dihedral(rng.Intn(topo.NumDihedral)), Tx: rng.Intn(8), Ty: rng.Intn(8)}
-		q := p.Apply(tor, a)
+		a := topo.AutID(rng.Intn(g.Size()))
+		q := Path{Src: g.ApplyNode(a, p.Src), Dirs: make([]topo.Dir, len(dirs))}
+		n := p.Src
+		for i, d := range dirs {
+			q.Dirs[i] = tor.ChanDir(g.ApplyChan(a, tor.Chan(n, d)))
+			n = tor.Neighbor(n, d)
+		}
 		if q.Len() != p.Len() || q.Turns() != p.Turns() {
 			t.Fatal("automorphism changed length or turn count")
 		}
-		if q.Dst(tor) != tor.ApplyNode(a, p.Dst(tor)) {
+		if q.Dst(tor) != g.ApplyNode(a, p.Dst(tor)) {
 			t.Fatal("automorphism image has wrong destination")
 		}
 	}

@@ -1,30 +1,18 @@
-// Package topo models the interconnection-network topologies of the paper:
-// k-ary 2-cube (two-dimensional torus) directed graphs, their channels, and
-// their symmetry group.
+// Package topo models the interconnection-network topologies of the paper
+// and their symmetry: k-ary n-cubes for n = 2 and 3 (the two- and
+// three-dimensional tori) and the 2D mesh, behind the Topology and AutGroup
+// interfaces of topology.go.
 //
-// Nodes are identified by integers in [0, N) with N = k*k and coordinates
-// (x, y) = (n mod k, n / k). Every node has four outgoing channels, one per
-// direction, giving C = 4N unit-bandwidth channels. The torus is both
-// vertex- and edge-symmetric; its automorphism group (translations composed
-// with the dihedral group of the square) is what Section 4 of the paper
-// exploits to shrink the optimization problems from O(C N^2) to O(C N), and
-// what this package exposes as explicit coordinate transforms.
+// A k-ary n-cube has N = k^n nodes, each with 2n outgoing unit-bandwidth
+// channels, C = 2nN in all. It is vertex- and edge-symmetric; its
+// automorphism group (translations composed with the signed permutations of
+// the axes, the dihedral group of the square when n = 2) is what Section 4
+// of the paper exploits to shrink the optimization problems from O(C N^2)
+// to O(C N). Torus is the 2D instance with the coordinate and direction
+// helpers the routing algorithms use.
 package topo
 
-import (
-	"fmt"
-	"strconv"
-)
-
-func init() {
-	RegisterFamily("torus2d", func(spec string) (Topology, error) {
-		k, err := strconv.Atoi(spec)
-		if err != nil || k < 2 {
-			return nil, fmt.Errorf("bad radix %q (want an integer >= 2)", spec)
-		}
-		return NewTorus(k), nil
-	})
-}
+import "fmt"
 
 // Node identifies a torus node in [0, N).
 type Node int
@@ -99,37 +87,19 @@ func (d Dir) Reverse() Dir {
 // IsX reports whether the direction travels in the x dimension.
 func (d Dir) IsX() bool { return d == XPlus || d == XMinus }
 
-// Torus is a k-ary 2-cube with unit-bandwidth channels.
+// Torus is a k-ary 2-cube with unit-bandwidth channels: node n sits at
+// (x, y) = (n mod k, n / k), and channel c leaves node c/4 in direction
+// Dir(c%4). The Topology methods and the K, N and C fields come from the
+// shared k-ary n-cube.
 type Torus struct {
-	K int // radix per dimension
-	N int // number of nodes, k*k
-	C int // number of channels, 4*k*k
-
-	// mmd caches MeanMinDist: it sits on the hot path of the
-	// locality-normalized Pareto sweeps, so it is computed once here.
-	mmd float64
-	// grp and tgrp are the full automorphism group and its translation
-	// subgroup behind the Topology interface.
-	grp  *torusGroup
-	tgrp *torusTransGroup
+	cube
 }
 
 // NewTorus constructs a k-ary 2-cube. k must be at least 2 (k = 2 tori have
 // coincident +/- neighbors but remain well-defined as multigraphs here).
 func NewTorus(k int) *Torus {
-	if k < 2 {
-		//lint:ignore libpanic construction-time misuse guard; the CLI validates radix before reaching here and library callers pass literals
-		panic(fmt.Sprintf("topo: radix %d < 2", k))
-	}
-	t := &Torus{K: k, N: k * k, C: 4 * k * k}
-	var total int
-	for r := 0; r < k; r++ {
-		total += t.MinDist1D(r)
-	}
-	// Sum over both dimensions of the per-dimension mean.
-	t.mmd = 2 * float64(total) / float64(k)
-	t.grp = &torusGroup{t: t}
-	t.tgrp = &torusTransGroup{t: t}
+	t := &Torus{}
+	t.init(2, k)
 	return t
 }
 
@@ -150,19 +120,8 @@ func (t *Torus) Chan(n Node, d Dir) Channel {
 	return Channel(int(n)*NumDirs + int(d))
 }
 
-// ChanSrc returns the node a channel leaves.
-func (t *Torus) ChanSrc(c Channel) Node { return Node(int(c) / NumDirs) }
-
 // ChanDir returns a channel's direction.
 func (t *Torus) ChanDir(c Channel) Dir { return Dir(int(c) % NumDirs) }
-
-// ChanDst returns the node a channel enters.
-func (t *Torus) ChanDst(c Channel) Node {
-	n := t.ChanSrc(c)
-	x, y := t.Coord(n)
-	dx, dy := t.ChanDir(c).Delta()
-	return t.NodeAt(x+dx, y+dy)
-}
 
 // Neighbor returns the node reached from n by moving one hop in direction d.
 func (t *Torus) Neighbor(n Node, d Dir) Node {
@@ -173,83 +132,12 @@ func (t *Torus) Neighbor(n Node, d Dir) Node {
 
 // Rel returns the relative coordinates of d as seen from s, each in [0, k).
 func (t *Torus) Rel(s, d Node) (rx, ry int) {
-	sx, sy := t.Coord(s)
-	dx, dy := t.Coord(d)
-	return mod(dx-sx, t.K), mod(dy-sy, t.K)
+	return t.Coord(t.RelNode(s, d))
 }
 
-// MinDist1D returns the minimal ring distance for a relative offset r
-// in [0, k).
-func (t *Torus) MinDist1D(r int) int {
-	r = mod(r, t.K)
-	if r > t.K-r {
-		return t.K - r
-	}
-	return r
-}
-
-// MinDist returns the minimal hop count between two nodes.
-func (t *Torus) MinDist(s, d Node) int {
-	rx, ry := t.Rel(s, d)
-	return t.MinDist1D(rx) + t.MinDist1D(ry)
-}
-
-// MeanMinDist returns the average minimal path length over all N^2
-// source-destination pairs (self pairs contribute zero), the quantity used
-// to normalize H_avg in the paper's figures. It is computed once at
-// construction.
-func (t *Torus) MeanMinDist() float64 { return t.mmd }
-
-// Topology interface. The port index of a torus channel is its Dir.
-
-// Family returns "torus2d".
-func (t *Torus) Family() string { return "torus2d" }
-
-// Spec returns the radix as a string.
-func (t *Torus) Spec() string { return fmt.Sprintf("%d", t.K) }
-
-// Nodes returns the node count N.
-func (t *Torus) Nodes() int { return t.N }
-
-// Chans returns the channel count C.
-func (t *Torus) Chans() int { return t.C }
-
-// MaxDeg returns the uniform out-degree, 4.
-func (t *Torus) MaxDeg() int { return NumDirs }
-
-// OutDeg returns the out-degree of a node, 4.
-func (t *Torus) OutDeg(Node) int { return NumDirs }
-
-// PortChan returns the channel leaving n through port p; torus ports are
-// the Dir constants.
-func (t *Torus) PortChan(n Node, p int) Channel { return t.Chan(n, Dir(p)) }
-
-// ChanPort returns a channel's port index at its source.
-func (t *Torus) ChanPort(c Channel) int { return int(t.ChanDir(c)) }
-
-// ReverseChan returns the oppositely directed channel of the same link.
-func (t *Torus) ReverseChan(c Channel) Channel {
-	return t.Chan(t.ChanDst(c), t.ChanDir(c).Reverse())
-}
-
-// VertexTransitive reports that the torus is vertex-transitive.
-func (t *Torus) VertexTransitive() bool { return true }
-
-// RelNode returns the node at the relative offset of d as seen from s.
-func (t *Torus) RelNode(s, d Node) Node {
-	rx, ry := t.Rel(s, d)
-	return Node(ry*t.K + rx)
-}
-
-// Group returns the full automorphism group (translations composed with the
-// dihedral group of the square), whose pair classes are the octant
-// commodities of Section 4.
-func (t *Torus) Group() AutGroup { return t.grp }
-
-// TransGroup returns the translation subgroup, whose pair classes are the
-// N-1 relative destinations and whose channel-orbit representatives are the
-// four channels at the origin.
-func (t *Torus) TransGroup() AutGroup { return t.tgrp }
+// MinDist1D returns the minimal ring distance for a relative offset r,
+// taken modulo k.
+func (t *Torus) MinDist1D(r int) int { return t.ring(mod(r, t.K)) }
 
 // mod is the arithmetic (always nonnegative) remainder.
 func mod(a, k int) int {
