@@ -44,7 +44,8 @@ func checkRadix(k int) error {
 // topoFor resolves a request's network: the legacy radix form (topology
 // empty) instantiates a k-ary 2-cube, the explicit form parses the
 // registered family. Both are size-capped so an oversized request fails
-// validation rather than exhausting the process.
+// validation rather than exhausting the process; the node cap is checked
+// from the spec, before anything is built.
 func topoFor(k int, topology string) (topo.Topology, error) {
 	if topology == "" {
 		if err := checkRadix(k); err != nil {
@@ -52,14 +53,7 @@ func topoFor(k int, topology string) (topo.Topology, error) {
 		}
 		return topo.NewTorus(k), nil
 	}
-	t, err := topo.Parse(topology)
-	if err != nil {
-		return nil, err
-	}
-	if t.Nodes() > maxNodes {
-		return nil, fmt.Errorf("topology %s has %d nodes (max %d)", topo.String(t), t.Nodes(), maxNodes)
-	}
-	return t, nil
+	return topo.ParseLimit(topology, maxNodes)
 }
 
 // evalNetwork resolves an eval request's network and algorithm. It is the

@@ -457,3 +457,18 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	s.draining.Store(false)
 }
+
+// TestOversizedTopologyRejectedFast checks that explicit topologies past the
+// node cap, or whose node count overflows, fail validation before anything
+// is built.
+func TestOversizedTopologyRejectedFast(t *testing.T) {
+	for _, spec := range []string{"torus3d:2100000", "torus2d:3037000500", "mesh:2x100000", "mesh:2x3000000"} {
+		start := time.Now()
+		if _, err := topoFor(0, spec); err == nil {
+			t.Errorf("topoFor(%q) accepted an oversized topology", spec)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("topoFor(%q) took %v to reject", spec, el)
+		}
+	}
+}
