@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint chaos chaos-store online fuzz bench ci
+.PHONY: build test race lint chaos chaos-store online fuzz bench results ci
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,11 @@ fuzz:
 # bench records the LP-engine benchmark suite into BENCH_lp.json.
 bench:
 	sh scripts/bench.sh
+
+# results regenerates every committed results/*.txt file and cmp's it
+# against the committed copy.
+results:
+	sh scripts/results.sh
 
 # ci is the full verification gate: build, vet, the repo's own static
 # analyzer, race-enabled tests, a bench smoke, and a short fuzz smoke.
