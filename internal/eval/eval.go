@@ -141,71 +141,17 @@ func transBy(tg topo.AutGroup, s topo.Node) topo.AutID {
 	return tg.Inverse(a)
 }
 
-// ChannelLoads returns gamma_c(R, Lambda) for every channel, equation (2).
+// ChannelLoads returns gamma_c(R, Lambda) for every channel, equation (2),
+// through a one-off load plan. Callers evaluating many matrices against one
+// flow should build the plan once (Plan) and share it.
 func (f *Flow) ChannelLoads(lambda *traffic.Matrix) []float64 {
-	t := f.T
-	n, nc := t.Nodes(), t.Chans()
-	loads := make([]float64, nc)
-	if !t.VertexTransitive() {
-		for s := 0; s < n; s++ {
-			row := lambda.L[s]
-			for d := 0; d < n; d++ {
-				l := row[d]
-				//lint:ignore floatcmp sparsity skip: entries never written stay exactly 0
-				if l == 0 {
-					continue
-				}
-				x := f.X[s*n+d]
-				for c := 0; c < nc; c++ {
-					//lint:ignore floatcmp sparsity skip: channels a path never crosses stay exactly 0
-					if x[c] == 0 {
-						continue
-					}
-					loads[c] += l * x[c]
-				}
-			}
-		}
-		return loads
-	}
-	// gamma_c = sum_{s,d} lambda[s][d] * X[d-s][c translated by -s].
-	// Iterate per source: translate the channel indices once per s.
-	tg := t.TransGroup()
-	chanMap := make([]topo.Channel, nc)
-	for s := 0; s < n; s++ {
-		shift := transBy(tg, topo.Node(s))
-		for c := 0; c < nc; c++ {
-			chanMap[c] = tg.ApplyChan(shift, topo.Channel(c))
-		}
-		row := lambda.L[s]
-		for d := 0; d < n; d++ {
-			l := row[d]
-			//lint:ignore floatcmp sparsity skip: entries never written stay exactly 0
-			if l == 0 {
-				continue
-			}
-			x := f.X[t.RelNode(topo.Node(s), topo.Node(d))]
-			for c := 0; c < nc; c++ {
-				//lint:ignore floatcmp sparsity skip: channels a path never crosses stay exactly 0
-				if x[c] == 0 {
-					continue
-				}
-				loads[chanMap[c]] += l * x[c]
-			}
-		}
-	}
-	return loads
+	return f.Plan().ChannelLoads(lambda)
 }
 
 // GammaMax returns the normalized maximum channel load under a pattern,
 // equation (3) with unit channel bandwidths.
 func (f *Flow) GammaMax(lambda *traffic.Matrix) float64 {
-	var worst float64
-	for _, l := range f.ChannelLoads(lambda) {
-		if l > worst {
-			worst = l
-		}
-	}
-	return worst
+	return f.Plan().GammaMax(lambda)
 }
 
 // Throughput returns Theta(R, Lambda) = 1/gamma_max, equation (4).
@@ -233,11 +179,12 @@ func NetworkCapacity(t topo.Topology) float64 {
 	return float64(c) / (float64(n) * t.MeanMinDist())
 }
 
-// pairLoadMatrix builds M[s][d]: the load that a unit of s->d traffic places
-// on the given canonical channel. On vertex-transitive topologies
-// translation invariance reads the load off row rel(s, d) at the channel
-// translated by -s; otherwise each pair's own row is read directly.
-func (f *Flow) pairLoadMatrix(c topo.Channel) [][]float64 {
+// PairLoadMatrix builds M[s][d]: the load that a unit of s->d traffic
+// places on channel c, the weight matrix of the worst-case separation
+// oracle. On vertex-transitive topologies translation invariance reads the
+// load off row rel(s, d) at the channel translated by -s; otherwise each
+// pair's own row is read directly.
+func (f *Flow) PairLoadMatrix(c topo.Channel) [][]float64 {
 	t := f.T
 	n := t.Nodes()
 	m := make([][]float64, n)
@@ -288,7 +235,7 @@ func (f *Flow) sepChans() []topo.Channel {
 // doubly-stochastic traffic, equation (7), and a permutation achieving it.
 // By the Birkhoff decomposition it suffices to search permutations, and the
 // per-channel search is a maximum-weight matching of the pair-load matrix.
-// It is the context-free form of WorstCaseCtx; pairLoadMatrix always
+// It is the context-free form of WorstCaseCtx; PairLoadMatrix always
 // produces a square N-by-N matrix, so the oracle's shape error is an
 // internal invariant violation, not a data condition.
 func (f *Flow) WorstCase() (float64, []int) {
@@ -306,7 +253,7 @@ func (f *Flow) WorstCaseCtx(ctx context.Context, workers int) (float64, []int, e
 	perms := make([][]int, len(reps))
 	weights := make([]float64, len(reps))
 	err := par.Do(ctx, len(reps), workers, func(i int) error {
-		perm, w, err := matching.MaxWeightAssignment(f.pairLoadMatrix(reps[i]))
+		perm, w, err := matching.MaxWeightAssignment(f.PairLoadMatrix(reps[i]))
 		if err != nil {
 			return err
 		}
@@ -364,13 +311,15 @@ func (f *Flow) AvgCase(samples []*traffic.Matrix) AvgCaseResult {
 }
 
 // AvgCaseCtx computes each sample's maximum channel load on at most workers
-// goroutines. The per-sample maxima land in per-index slots and are summed
-// in sample order, so the floating-point accumulation — and therefore the
-// result — is bit-for-bit the sequential one for every worker count.
+// goroutines, all reading one load plan. The per-sample maxima land in
+// per-index slots and are summed in sample order, so the floating-point
+// accumulation — and therefore the result — is bit-for-bit the sequential
+// one for every worker count.
 func (f *Flow) AvgCaseCtx(ctx context.Context, samples []*traffic.Matrix, workers int) (AvgCaseResult, error) {
+	plan := f.Plan()
 	gammas := make([]float64, len(samples))
 	err := par.Do(ctx, len(samples), workers, func(i int) error {
-		gammas[i] = f.GammaMax(samples[i])
+		gammas[i] = plan.GammaMax(samples[i])
 		return nil
 	})
 	if err != nil {
