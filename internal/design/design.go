@@ -620,7 +620,7 @@ func (o *repOracle) run(ctx context.Context, workers int, flow *eval.Flow, fault
 				return err
 			}
 		}
-		o.loads[i] = pairLoadMatrix(flow, o.chans[i])
+		o.loads[i] = flow.PairLoadMatrix(o.chans[i])
 		perm, g, err := matching.MaxWeightAssignment(o.loads[i])
 		if err != nil {
 			return err
@@ -636,38 +636,6 @@ func (o *repOracle) run(ctx context.Context, workers int, flow *eval.Flow, fault
 		gw = math.Max(gw, g)
 	}
 	return gw, nil
-}
-
-// pairLoadMatrix mirrors eval's internal pair-load matrix for the oracle:
-// entry (s, d) is the load pair (s, d) places on channel c. On
-// vertex-transitive families the flow table holds one row per relative
-// destination and the channel is translated into each source's frame; the
-// general form reads the per-pair rows directly.
-func pairLoadMatrix(f *eval.Flow, c topo.Channel) [][]float64 {
-	t := f.T
-	n := t.Nodes()
-	m := make([][]float64, n)
-	if !t.VertexTransitive() {
-		for s := 0; s < n; s++ {
-			m[s] = make([]float64, n)
-			for d := 0; d < n; d++ {
-				m[s][d] = f.X[s*n+d][c]
-			}
-		}
-		return m
-	}
-	tg := t.TransGroup()
-	for s := 0; s < n; s++ {
-		m[s] = make([]float64, n)
-		// PairAut(s, 0) is the translation mapping s to the origin; it
-		// carries c into source s's canonical frame.
-		_, a := tg.PairAut(topo.Node(s), 0)
-		tc := tg.ApplyChan(a, c)
-		for d := 0; d < n; d++ {
-			m[s][d] = f.X[t.RelNode(topo.Node(s), topo.Node(d))][tc]
-		}
-	}
-	return m
 }
 
 // WorstCaseOptimal designs a routing function with the maximum worst-case
