@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tcr/internal/routing"
 	"tcr/internal/topo"
@@ -13,9 +14,11 @@ import (
 
 // Cache memoizes flow tables content-addressed by topology and
 // algorithm identity, so repeated Report/CLI invocations over the same
-// algorithm reuse one path-enumeration pass. Concurrent lookups of the same
-// key share a single computation (per-entry once); distinct keys compute
-// independently. The cache is safe for concurrent use.
+// algorithm reuse one path-enumeration pass; each entry also memoizes its
+// flow's exact worst case (WorstCase), so they reuse one Hungarian pass
+// too. Concurrent lookups of the same key share a single computation;
+// distinct keys compute independently. The cache is safe for concurrent
+// use.
 //
 // A cache built with NewCacheLimit holds at most its cap entries and evicts
 // the least recently used one on overflow; NewCache is unbounded, matching
@@ -23,10 +26,11 @@ import (
 // memory cost of a long-lived process (O(k^2) relative destinations x k
 // channels of float64 each), so daemons should bound the cache.
 type Cache struct {
-	mu  sync.Mutex
-	m   map[string]*cacheEntry
-	lru *list.List // front = most recently used; elements hold *cacheEntry
-	cap int        // 0 = unbounded
+	mu     sync.Mutex
+	m      map[string]*cacheEntry
+	lru    *list.List // front = most recently used; elements hold *cacheEntry
+	cap    int        // 0 = unbounded
+	wcRuns atomic.Int64
 }
 
 type cacheEntry struct {
@@ -35,6 +39,14 @@ type cacheEntry struct {
 	err  error
 	key  string
 	elem *list.Element // position in lru; nil once evicted or dropped
+
+	// The flow's memoized worst case, under wcMu: wcWait is non-nil while
+	// a computation is in flight, wcDone once one has succeeded.
+	wcMu    sync.Mutex
+	wcWait  chan struct{}
+	wcDone  bool
+	wcGamma float64
+	wcPerm  []int
 }
 
 // NewCache returns an empty, unbounded flow cache.
@@ -95,9 +107,72 @@ func algKey(alg routing.Algorithm) (string, bool) {
 // failed computation (context cancellation) is not cached; the next caller
 // retries.
 func (c *Cache) Evaluate(ctx context.Context, t topo.Topology, alg routing.Algorithm, workers int) (*Flow, error) {
+	e, err := c.entry(ctx, t, alg, workers)
+	if err != nil {
+		return nil, err
+	}
+	return e.flow, nil
+}
+
+// WorstCase returns the memoized flow table of (t, alg) with its worst case
+// (gamma, perm) as WorstCaseCtx computes it, evaluating either on a miss.
+// Concurrent callers share one computation; a failed or canceled one is not
+// memoized, and a waiting caller whose own context is live retries it. The
+// result is identical for every worker count, so every caller sees the same
+// bits whichever of them computed it. The returned permutation is shared
+// and MUST be treated as read-only, like the flow. Uncacheable algorithms
+// are evaluated fresh.
+func (c *Cache) WorstCase(ctx context.Context, t topo.Topology, alg routing.Algorithm, workers int) (*Flow, float64, []int, error) {
+	e, err := c.entry(ctx, t, alg, workers)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	for {
+		e.wcMu.Lock()
+		if e.wcDone {
+			g, perm := e.wcGamma, e.wcPerm
+			e.wcMu.Unlock()
+			return e.flow, g, perm, nil
+		}
+		if wait := e.wcWait; wait != nil {
+			e.wcMu.Unlock()
+			select {
+			case <-wait:
+				continue
+			case <-ctx.Done():
+				return nil, 0, nil, ctx.Err()
+			}
+		}
+		wait := make(chan struct{})
+		e.wcWait = wait
+		e.wcMu.Unlock()
+
+		c.wcRuns.Add(1)
+		g, perm, err := e.flow.WorstCaseCtx(ctx, workers)
+		e.wcMu.Lock()
+		e.wcWait = nil
+		if err == nil {
+			e.wcDone, e.wcGamma, e.wcPerm = true, g, perm
+		}
+		e.wcMu.Unlock()
+		close(wait)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		return e.flow, g, perm, nil
+	}
+}
+
+// entry returns the entry of (t, alg) with its flow computed. An algorithm
+// without a stable identity gets a fresh entry that is never stored.
+func (c *Cache) entry(ctx context.Context, t topo.Topology, alg routing.Algorithm, workers int) (*cacheEntry, error) {
 	key, ok := FlowKey(t, alg)
 	if !ok {
-		return FromAlgorithmCtx(ctx, t, alg, workers)
+		f, err := FromAlgorithmCtx(ctx, t, alg, workers)
+		if err != nil {
+			return nil, err
+		}
+		return &cacheEntry{flow: f}, nil
 	}
 	c.mu.Lock()
 	e := c.m[key]
@@ -120,7 +195,7 @@ func (c *Cache) Evaluate(ctx context.Context, t topo.Topology, alg routing.Algor
 		c.mu.Unlock()
 		return nil, e.err
 	}
-	return e.flow, nil
+	return e, nil
 }
 
 // evictOldestLocked removes the least recently used entry. An evicted entry
@@ -146,6 +221,10 @@ func (c *Cache) dropLocked(e *cacheEntry) {
 		e.elem = nil
 	}
 }
+
+// WorstCaseRuns reports how many worst-case computations WorstCase has
+// started, memoized or not (for tests and diagnostics).
+func (c *Cache) WorstCaseRuns() int64 { return c.wcRuns.Load() }
 
 // Len reports the number of cached flow tables (for tests and diagnostics).
 func (c *Cache) Len() int {

@@ -188,3 +188,80 @@ func TestCacheDoesNotCacheCancellation(t *testing.T) {
 		t.Fatalf("retry after cancellation failed: %v", err)
 	}
 }
+
+func TestCacheWorstCaseMemoized(t *testing.T) {
+	tor := topo.NewTorus(4)
+	c := NewCache()
+	const callers = 8
+	gammas := make([]float64, callers)
+	perms := make([][]int, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, g, perm, err := c.WorstCase(context.Background(), tor, routing.ROMM{}, 1+i%2)
+			if err != nil {
+				t.Error(err)
+			}
+			gammas[i], perms[i] = g, perm
+		}(i)
+	}
+	wg.Wait()
+	if runs := c.WorstCaseRuns(); runs != 1 {
+		t.Fatalf("%d worst-case computations for one flow, want 1", runs)
+	}
+	wantG, wantPerm := FromAlgorithm(tor, routing.ROMM{}).WorstCase()
+	for i := range gammas {
+		if gammas[i] != wantG || !reflect.DeepEqual(perms[i], wantPerm) {
+			t.Fatalf("caller %d: worst case (%v, %v), want (%v, %v)", i, gammas[i], perms[i], wantG, wantPerm)
+		}
+		if &perms[i][0] != &perms[0][0] {
+			t.Fatalf("caller %d got its own permutation, want the memoized one", i)
+		}
+	}
+}
+
+func TestCacheWorstCaseNotMemoizedOnCancel(t *testing.T) {
+	tor := topo.NewTorus(4)
+	c := NewCache()
+	if _, err := c.Evaluate(context.Background(), tor, routing.DOR{}, 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, _, err := c.WorstCase(ctx, tor, routing.DOR{}, 1); err == nil {
+		t.Fatal("canceled worst case succeeded")
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, _, err := c.WorstCase(context.Background(), tor, routing.DOR{}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs := c.WorstCaseRuns(); runs != 2 {
+		t.Fatalf("%d worst-case computations, want 2 (the canceled one and one memoized retry)", runs)
+	}
+}
+
+func TestCacheWorstCaseBypassesTables(t *testing.T) {
+	tor := topo.NewTorus(3)
+	f := FromAlgorithm(tor, routing.DOR{})
+	dist := map[topo.Node][]paths.Weighted{}
+	for rel := topo.Node(1); int(rel) < tor.N; rel++ {
+		dist[rel] = routing.DOR{}.PairPaths(tor, 0, rel)
+	}
+	c := NewCache()
+	tbl := &routing.Table{Label: "dor-table", Dist: dist}
+	for i := 0; i < 2; i++ {
+		got, g, _, err := c.WorstCase(context.Background(), tor, tbl, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := f.WorstCase(); g != want || !reflect.DeepEqual(got.X, f.X) {
+			t.Fatalf("table worst case %v, want %v", g, want)
+		}
+	}
+	if c.Len() != 0 || c.WorstCaseRuns() != 2 {
+		t.Fatalf("table was cached: %d entries, %d runs", c.Len(), c.WorstCaseRuns())
+	}
+}

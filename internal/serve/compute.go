@@ -34,6 +34,12 @@ const maxRadix = 32
 // radix cap's node count (32^2).
 const maxNodes = 1024
 
+// maxSampleEntries bounds an eval request's average-case sample set: the
+// evaluator materializes Samples matrices of N^2 float64 entries (128 MiB
+// at this cap) before it can check a deadline, so a request over the
+// budget must fail admission instead. At k=8 it allows 4,096 samples.
+const maxSampleEntries = 1 << 24
+
 func checkRadix(k int) error {
 	if k > maxRadix {
 		return fmt.Errorf("radix %d out of range (max %d)", k, maxRadix)
@@ -75,12 +81,15 @@ func evalNetwork(req store.EvalRequest) (topo.Topology, routing.Algorithm, error
 	if !ok {
 		return nil, nil, fmt.Errorf("unknown algorithm %q", req.Alg)
 	}
+	if n := t.Nodes(); req.Samples > maxSampleEntries/(n*n) {
+		return nil, nil, fmt.Errorf("%d samples of %d x %d traffic exceed the budget of %d matrix entries", req.Samples, n, n, maxSampleEntries)
+	}
 	return t, alg, nil
 }
 
 // ComputeEval evaluates the paper's metrics for a named closed-form
-// algorithm, resolving flow tables through cache (which may be shared with
-// other requests; nil evaluates fresh).
+// algorithm, resolving flow tables and their worst cases through cache
+// (which may be shared with other requests; nil evaluates fresh).
 func ComputeEval(ctx context.Context, req store.EvalRequest, cache *eval.Cache, workers int) (*store.EvalArtifact, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -92,23 +101,20 @@ func ComputeEval(ctx context.Context, req store.EvalRequest, cache *eval.Cache, 
 	if cache == nil {
 		cache = eval.NewCacheLimit(1)
 	}
-	f, err := cache.Evaluate(ctx, t, alg, workers)
+	f, gw, _, err := cache.WorstCase(ctx, t, alg, workers)
 	if err != nil {
 		return nil, err
 	}
 	netCap := eval.NetworkCapacity(t)
-	gw, _, err := f.WorstCaseCtx(ctx, workers)
-	if err != nil {
-		return nil, err
-	}
+	capacity := f.Capacity()
 	art := &store.EvalArtifact{
 		Schema:           store.SchemaVersion,
 		Request:          req,
 		NetworkCapacity:  netCap,
 		HAvg:             f.HAvg(),
 		HNorm:            f.HNorm(),
-		Capacity:         f.Capacity(),
-		CapacityFraction: f.Capacity() / netCap,
+		Capacity:         capacity,
+		CapacityFraction: capacity / netCap,
 		GammaWC:          gw,
 		WCFraction:       (1 / gw) / netCap,
 	}
@@ -123,7 +129,9 @@ func ComputeEval(ctx context.Context, req store.EvalRequest, cache *eval.Cache, 
 }
 
 // ComputeWorstPerm produces the worst-case certificate for a named
-// algorithm: the exact adversarial load and a permutation achieving it.
+// algorithm: the exact adversarial load and a permutation achieving it,
+// memoized in cache like ComputeEval's. The artifact's Perm is the cache's
+// shared copy and must not be modified.
 func ComputeWorstPerm(ctx context.Context, req store.WorstPermRequest, cache *eval.Cache, workers int) (*store.WorstPermArtifact, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -139,11 +147,7 @@ func ComputeWorstPerm(ctx context.Context, req store.WorstPermRequest, cache *ev
 	if cache == nil {
 		cache = eval.NewCacheLimit(1)
 	}
-	f, err := cache.Evaluate(ctx, t, alg, workers)
-	if err != nil {
-		return nil, err
-	}
-	gamma, perm, err := f.WorstCaseCtx(ctx, workers)
+	_, gamma, perm, err := cache.WorstCase(ctx, t, alg, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -160,15 +160,17 @@ type Metrics struct {
 	AvgCaseFraction float64
 }
 
-// flowCache memoizes flow tables across Report invocations: repeated
-// reports on the same (radix, algorithm) — CLI subcommands, interpolation
-// sweeps — reuse one path-enumeration pass. Designed routing tables have no
-// stable identity and bypass it (see eval.FlowKey).
+// flowCache memoizes flow tables and their worst cases across Report
+// invocations: repeated reports on the same (radix, algorithm) — CLI
+// subcommands, interpolation sweeps — reuse one path-enumeration pass and
+// one Hungarian pass. Designed routing tables have no stable identity and
+// bypass it (see eval.FlowKey).
 var flowCache = eval.NewCache()
 
 // Report evaluates the paper's metrics for an algorithm; samples may be nil
-// to skip the average case. Flow tables are memoized across calls, so
-// re-reporting an algorithm (at a different sample set, say) is cheap.
+// to skip the average case. Flow tables and worst cases are memoized across
+// calls, so re-reporting an algorithm (at a different sample set, say) is
+// cheap.
 func Report(t *Torus, alg Algorithm, samples []*Traffic) (Metrics, error) {
 	return ReportCtx(context.Background(), t, alg, samples)
 }
@@ -176,20 +178,17 @@ func Report(t *Torus, alg Algorithm, samples []*Traffic) (Metrics, error) {
 // ReportCtx is Report under a cancellation context, which bounds both the
 // flow evaluation and the exact worst-case (Hungarian) computation.
 func ReportCtx(ctx context.Context, t *Torus, alg Algorithm, samples []*Traffic) (Metrics, error) {
-	f, err := flowCache.Evaluate(ctx, t, alg, Concurrency)
+	f, gw, _, err := flowCache.WorstCase(ctx, t, alg, Concurrency)
 	if err != nil {
 		return Metrics{}, err
 	}
 	cap := NetworkCapacity(t)
-	gw, _, err := f.WorstCaseCtx(ctx, Concurrency)
-	if err != nil {
-		return Metrics{}, err
-	}
+	capacity := f.Capacity()
 	m := Metrics{
 		HAvg:              f.HAvg(),
 		HNorm:             f.HNorm(),
-		Capacity:          f.Capacity(),
-		CapacityFraction:  f.Capacity() / cap,
+		Capacity:          capacity,
+		CapacityFraction:  capacity / cap,
 		GammaWC:           gw,
 		WorstCaseFraction: (1 / gw) / cap,
 	}
