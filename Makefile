@@ -37,7 +37,8 @@ fuzz:
 	$(GO) test -tags lpchaos ./internal/lp -run='^$$' -fuzz=FuzzRecoveryLadder -fuzztime=5s
 	$(GO) test ./internal/store -run='^$$' -fuzz=FuzzStoreManifest -fuzztime=5s
 
-# bench records the LP-engine benchmark suite into BENCH_lp.json.
+# bench records the LP-engine, simulator and evaluator benchmark suites into
+# BENCH_lp.json, BENCH_sim.json and BENCH_eval.json.
 bench:
 	sh scripts/bench.sh
 

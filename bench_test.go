@@ -224,18 +224,6 @@ func BenchmarkAblationFoldTranslation(b *testing.B) {
 	}
 }
 
-// BenchmarkChannelLoads measures the core load computation gamma_c(R,Lambda)
-// over all channels at k=8.
-func BenchmarkChannelLoads(b *testing.B) {
-	t := NewTorus(8)
-	f := Evaluate(t, VAL())
-	lam := traffic.Tornado(t)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = f.ChannelLoads(lam)
-	}
-}
-
 // BenchmarkFlowFromAlgorithm measures path enumeration + flow accumulation
 // for the heaviest closed-form algorithm (IVAL) at k=8.
 func BenchmarkFlowFromAlgorithm(b *testing.B) {

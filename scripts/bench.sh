@@ -11,13 +11,18 @@
 # ns/op, B/op, and allocs/op figures with cmd/benchjson. The simulator
 # benchmarks (BenchmarkSimulator: 100 cycles of a k=8 IVAL network;
 # BenchmarkFindSaturationK8: one serial k=8 saturation sweep) run at -cpu 1
-# into BENCH_sim.json.
+# into BENCH_sim.json. The evaluator benchmarks (BenchmarkChannelLoads: one
+# equation (2) evaluation for DOR and VAL under tornado at k=8 and a mesh
+# permutation; BenchmarkAvgCaseK8: IVAL over 100 samples at k=8;
+# BenchmarkColdEval: the daemon's cold eval of the six Table 1 algorithms
+# with 8 samples each on a warm flow cache) run at -cpu 1 into
+# BENCH_eval.json.
 #
 # Usage: scripts/bench.sh [benchtime]
 #   benchtime  go test -benchtime value (default 10x; use e.g. 2s for
 #              steadier numbers, 1x for a smoke run)
 #
-# The refreshed BENCH_lp.json and BENCH_sim.json double as the baselines for
+# The refreshed BENCH_*.json files double as the baselines for
 # the soft regression gates in scripts/check.sh (cmd/benchjson -diff); re-run
 # this script to re-baseline after an intentional performance change.
 set -eu
@@ -26,8 +31,9 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${1:-10x}"
 OUT="BENCH_lp.json"
 SIM_OUT="BENCH_sim.json"
+EVAL_OUT="BENCH_eval.json"
 
-rm -f "$OUT" "$SIM_OUT"
+rm -f "$OUT" "$SIM_OUT" "$EVAL_OUT"
 
 echo "==> internal/lp engine benchmarks (benchtime=$BENCHTIME)"
 go test ./internal/lp -run '^$' -bench . -benchtime "$BENCHTIME" -benchmem \
@@ -45,4 +51,8 @@ echo "==> flit-simulator benchmarks (-cpu 1)"
 go test . -run '^$' -bench 'BenchmarkSimulator$|BenchmarkFindSaturationK8$' -benchtime "$BENCHTIME" -benchmem -cpu 1 \
 	| tee /dev/stderr | go run ./cmd/benchjson -o "$SIM_OUT"
 
-echo "==> wrote $OUT and $SIM_OUT"
+echo "==> evaluator benchmarks (-cpu 1)"
+go test ./internal/eval ./internal/serve -run '^$' -bench 'BenchmarkChannelLoads|BenchmarkAvgCaseK8$|BenchmarkColdEval$' -benchtime "$BENCHTIME" -benchmem -cpu 1 \
+	| tee /dev/stderr | go run ./cmd/benchjson -o "$EVAL_OUT"
+
+echo "==> wrote $OUT, $SIM_OUT and $EVAL_OUT"
