@@ -196,7 +196,7 @@ func evalJSON(ctx context.Context, k, nSamples int, seed int64, storeDir string)
 
 func cmdFigure1(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("figure1", flag.ExitOnError)
-	k := fs.Int("k", 6, "torus radix (k=8 reproduces the paper but needs hours of LP time)")
+	k := fs.Int("k", 6, "torus radix (k=8 reproduces the paper; its sweep takes over 30 minutes)")
 	points := fs.Int("points", 11, "Pareto sweep points")
 	with2turn := fs.Bool("with2turn", false, "also design and plot the 2TURN point (slow)")
 	if err := fs.Parse(args); err != nil {

@@ -30,7 +30,10 @@ func NewAvgCaseLP(t topo.Topology, samples []*traffic.Matrix, withLocality bool,
 	p := newBareFlowLP(t, opts)
 
 	m := lp.NewModel()
-	p.addFlowVars(m)
+	// The sampled objective is not group-invariant, and its separator scans
+	// every channel, so tied columns can only cost it throughput. The tori
+	// go without them; the meshes keep the symmetry they always had.
+	p.addFlowVars(m, !t.VertexTransitive())
 	p.wVar = m.AddVar(0, "w") // unused placeholder to keep varID layout
 	tVars := make([]lp.VarID, len(samples))
 	inv := 1 / float64(len(samples))
@@ -38,7 +41,6 @@ func NewAvgCaseLP(t topo.Topology, samples []*traffic.Matrix, withLocality bool,
 		tVars[i] = m.AddVar(inv, fmt.Sprintf("t[%d]", i))
 	}
 	p.addConservation(m, false)
-	p.addSymmetry(m)
 	if withLocality {
 		p.addLocalityRow(m)
 	}

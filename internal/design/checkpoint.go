@@ -34,8 +34,10 @@ import (
 // formulation changes. ckpt-2 added the integrity hash field; ckpt-3
 // switched the stage-2 w cap from a cut row to a variable upper bound
 // (bounded simplex), which changes the basis dimension and adds the at-upper
-// nonbasic set to the serialized state.
-const checkpointVersion = "tcr-ckpt-3"
+// nonbasic set to the serialized state; ckpt-4 tied the flow columns of
+// each stabilizer channel orbit and keeps one potential block per
+// full-group channel orbit, a shape the rest of the signature omits.
+const checkpointVersion = "tcr-ckpt-4"
 
 // checkpoint is the on-disk resume state of a cut loop. SHA256 is the
 // integrity hash (store.HashBytes) of the checkpoint's own JSON encoding
@@ -85,20 +87,15 @@ func (ck *checkpoint) verify() bool {
 
 // sig fingerprints everything that shapes the cut loop's trajectory except
 // its budgets (budgets may legitimately differ between the killed run and
-// the resuming one). The 2D torus keeps its historical "k=%d" form so
-// pre-refactor checkpoints still resume; other families identify themselves
-// by their canonical topology string.
+// the resuming one). Every family identifies itself by its canonical
+// topology string.
 func (p *FlowLP) sig() string {
 	loc := ""
 	if p.hasH {
 		loc = fmt.Sprintf(" loc=%g", p.locNorm)
 	}
-	id := "topo=" + topo.String(p.T)
-	if tt, ok := p.T.(*topo.Torus); ok {
-		id = fmt.Sprintf("k=%d", tt.K)
-	}
-	return fmt.Sprintf("%s %s fold=%d cuts=%d stage=%d tol=%g%s",
-		checkpointVersion, id, p.fold, p.opts.Cuts, p.ckptStage, p.opts.tol(), loc)
+	return fmt.Sprintf("%s topo=%s fold=%d cuts=%d stage=%d tol=%g%s",
+		checkpointVersion, topo.String(p.T), p.fold, p.opts.Cuts, p.ckptStage, p.opts.tol(), loc)
 }
 
 // writeSnapshot seals the loop's state after `round` completed rounds into

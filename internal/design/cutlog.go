@@ -69,10 +69,15 @@ func (p *FlowLP) apply(e cutEntry) {
 		// tightest wins) while keeping the basis square.
 		p.solver.SetVarUpper(p.wVar, e.Val)
 	case cutObjLen:
+		// A tied column's coefficient sums its channels' weights.
+		obj := make([]float64, p.nFlow)
 		for ci, cm := range p.comms {
 			for c := 0; c < p.nc; c++ {
-				p.solver.SetObjCoef(p.varID(ci, topo.Channel(c)), cm.weight)
+				obj[p.varID(ci, topo.Channel(c))] += cm.weight
 			}
+		}
+		for v, w := range obj {
+			p.solver.SetObjCoef(lp.VarID(v), w)
 		}
 		p.solver.SetObjCoef(p.wVar, 0)
 	case cutLoc:

@@ -218,10 +218,17 @@ type FlowLP struct {
 	n, nc int
 	// grp is the folding group (full or translation, per fold); seps are
 	// the separation oracle's representative channels -- one per channel
-	// orbit of the translation subgroup.
+	// orbit of grp, which the tied columns of addFlowVars make sound (a
+	// single channel on the tori, the canonical channel of Section 4).
 	grp   topo.AutGroup
 	seps  []topo.Channel
 	comms []commodity
+	// cols[ci*nc+c] is commodity ci's flow column on channel c; nFlow
+	// counts the flow columns; stabs[ci] lists the nontrivial automorphisms
+	// fixing ci's pair when addFlowVars tied their orbits.
+	cols  []lp.VarID
+	nFlow int
+	stabs [][]topo.AutID
 	// pairComm[s*N+d] / pairAut[s*N+d]: the commodity index and the
 	// automorphism mapping pair (s, d) onto it; -1 for self pairs.
 	pairComm []int
@@ -258,16 +265,7 @@ func newBareFlowLP(t topo.Topology, opts Options) *FlowLP {
 	} else {
 		p.grp = t.Group()
 	}
-	if p.fold == FoldOctant && !t.VertexTransitive() {
-		// With the stabilizer rows of addSymmetry in the model, the unfolded
-		// routing function is invariant under the full group, so one
-		// separation representative per full-group channel orbit suffices.
-		// Without translations this is the difference between scanning a
-		// handful of orbits and scanning every channel.
-		p.seps = t.Group().ChanOrbitReps()
-	} else {
-		p.seps = t.TransGroup().ChanOrbitReps()
-	}
+	p.seps = p.grp.ChanOrbitReps()
 	p.buildCommodities()
 	p.buildPairMaps()
 	return p
@@ -275,7 +273,7 @@ func newBareFlowLP(t topo.Topology, opts Options) *FlowLP {
 
 // varID returns the LP variable of (commodity, channel).
 func (p *FlowLP) varID(comm int, c topo.Channel) lp.VarID {
-	return lp.VarID(comm*p.nc + int(c))
+	return p.cols[comm*p.nc+int(c)]
 }
 
 // NewFlowLP builds the base LP: flow conservation for each folded commodity
@@ -287,10 +285,9 @@ func NewFlowLP(t topo.Topology, withLocality bool, opts Options) *FlowLP {
 	p := newBareFlowLP(t, opts)
 
 	m := lp.NewModel()
-	p.addFlowVars(m)
+	p.addFlowVars(m, true)
 	p.wVar = m.AddVar(1, "w")
 	p.addConservation(m, true)
-	p.addSymmetry(m)
 	if withLocality {
 		p.addLocalityRow(m)
 	}
@@ -300,12 +297,44 @@ func NewFlowLP(t topo.Topology, withLocality bool, opts Options) *FlowLP {
 	return p
 }
 
-// addFlowVars adds the per-commodity channel flow variables in varID order.
-// The variables are unnamed: VarName falls back to the dense index, and the
-// per-variable Sprintf was a measurable share of the model-build cost on the
-// mesh-family LPs.
-func (p *FlowLP) addFlowVars(m *lp.Model) {
-	m.AddVars(len(p.comms) * p.nc)
+// addFlowVars adds the flow columns, which must be the model's first, and
+// fills the map varID reads. With tie set, the channels of one orbit of a
+// commodity's stabilizer (the automorphisms fixing its pair) share a column.
+// PairAut picks one automorphism per pair, so untied, the unfolded routing
+// function is invariant only modulo that choice; tied, it is invariant
+// under the whole folding group, which makes one separation representative
+// per channel orbit exact. Convexity guarantees a fully symmetric optimum
+// exists, so tying loses nothing. The variables are unnamed: per-variable
+// names were a measurable share of the mesh model-build cost.
+func (p *FlowLP) addFlowVars(m *lp.Model, tie bool) {
+	p.cols = make([]lp.VarID, len(p.comms)*p.nc)
+	p.stabs = make([][]topo.AutID, len(p.comms))
+	id := p.grp.Identity()
+	var els []topo.AutID
+	if tie {
+		els = p.grp.Elements()
+	}
+	for ci, cm := range p.comms {
+		for _, h := range els {
+			if h != id && p.grp.ApplyNode(h, cm.src) == cm.src && p.grp.ApplyNode(h, cm.dst) == cm.dst {
+				p.stabs[ci] = append(p.stabs[ci], h)
+			}
+		}
+		row := p.cols[ci*p.nc : (ci+1)*p.nc]
+		for c := range row {
+			rep := c
+			for _, h := range p.stabs[ci] {
+				rep = min(rep, int(p.grp.ApplyChan(h, topo.Channel(c))))
+			}
+			if rep < c {
+				row[c] = row[rep]
+				continue
+			}
+			row[c] = lp.VarID(p.nFlow)
+			p.nFlow++
+		}
+	}
+	m.AddVars(p.nFlow)
 }
 
 // addConservation appends the flow-conservation rows: for each commodity and
@@ -316,6 +345,15 @@ func (p *FlowLP) addConservation(m *lp.Model, named bool) {
 	for ci, cm := range p.comms {
 		for n := 0; n < p.n; n++ {
 			nd := topo.Node(n)
+			// With tied columns the rows of one stabilizer node orbit
+			// coincide; only the orbit's smallest node keeps its row.
+			dup := false
+			for _, h := range p.stabs[ci] {
+				dup = dup || p.grp.ApplyNode(h, nd) < nd
+			}
+			if dup {
+				continue
+			}
 			deg := t.OutDeg(nd)
 			terms = terms[:0]
 			for pt := 0; pt < deg; pt++ {
@@ -337,43 +375,6 @@ func (p *FlowLP) addConservation(m *lp.Model, named bool) {
 				name = fmt.Sprintf("cons[%d,%d]", ci, n)
 			}
 			m.AddRow(terms, lp.EQ, rhs, name)
-		}
-	}
-}
-
-// addSymmetry appends stabilizer-invariance rows for full-group foldings of
-// families without translation symmetry: x[ci][c] == x[ci][h(c)] for every
-// nontrivial automorphism h fixing class ci's representative pair. PairAut
-// picks one automorphism per pair, so without these rows the unfolded routing
-// function is well-defined but only invariant modulo that choice; with them it
-// is invariant under the whole group, making channel loads constant on
-// full-group channel orbits — which is what licenses newBareFlowLP's reduced
-// separation set. Convexity guarantees a fully symmetric optimum exists, so
-// the rows lose nothing. Vertex-transitive families skip this: their
-// historical LPs carry no such rows, and translation invariance alone already
-// covers their per-direction separation representatives.
-func (p *FlowLP) addSymmetry(m *lp.Model) {
-	if p.fold != FoldOctant || p.T.VertexTransitive() {
-		return
-	}
-	id := p.grp.Identity()
-	var pair [2]lp.Term // reused across rows; AddRow copies into the model's arena
-	for ci, cm := range p.comms {
-		for _, h := range p.grp.Elements() {
-			if h == id ||
-				p.grp.ApplyNode(h, cm.src) != cm.src ||
-				p.grp.ApplyNode(h, cm.dst) != cm.dst {
-				continue
-			}
-			for c := 0; c < p.nc; c++ {
-				hc := p.grp.ApplyChan(h, topo.Channel(c))
-				if int(hc) <= c {
-					continue // each unordered {c, h(c)} once; fixed channels need no row
-				}
-				pair[0] = lp.Term{Var: p.varID(ci, topo.Channel(c)), Coef: 1}
-				pair[1] = lp.Term{Var: p.varID(ci, hc), Coef: -1}
-				m.AddRow(pair[:], lp.EQ, 0, "")
-			}
 		}
 	}
 }
@@ -543,21 +544,22 @@ func (p *FlowLP) solveWorstCase(ctx context.Context, fixedBound float64) (*Resul
 }
 
 // worstCaseOracle is the worst-case loops' separation step: the worst
-// permutation per channel-orbit representative (translation invariance, or
-// the full-group symmetry rows, cover the rest). The per-representative
-// oracles run on Options.Workers goroutines; cuts are then added in
-// representative order, so the cut sequence is identical for every worker
-// count.
+// permutation per channel-orbit representative of the folding group (one
+// canonical channel on the tori under the full-group folding; the tied
+// columns of addFlowVars, or translation invariance, cover the rest). The
+// per-representative oracles run on Options.Workers goroutines; cuts are
+// then added in representative order, so the cut sequence is identical for
+// every worker count.
 //
-// Under the potential formulation on vertex-transitive families only the
-// worst-violated representative is fed each round: the symmetry-folded
-// blocks are near-copies, and feeding them all multiplies the LP for no
-// information. One aggregate permutation cut moves the bound immediately;
-// the pair rows supply the matching-dual structure. Without translation
-// symmetry every channel is its own block and the blocks are genuinely
-// independent, so starving all but the worst one would multiply the round
-// count by the channel count; there, as in the pure cutting-plane
-// formulation, every violated representative is fed.
+// Under the potential formulation on vertex-transitive families, which
+// have several representatives only under the translation folding, only the
+// worst-violated representative is fed each round: the blocks are
+// near-copies, and feeding them all multiplies the LP for no information.
+// One aggregate permutation cut moves the bound immediately; the pair rows
+// supply the matching-dual structure. On the meshes the full-group orbits are genuinely independent, so
+// starving all but the worst one would multiply the round count; there, as
+// in the pure cutting-plane formulation, every violated representative is
+// fed.
 func (p *FlowLP) worstCaseOracle(fixedBound float64) separateFunc {
 	tol := p.opts.tol()
 	o := newRepOracle(p.seps)

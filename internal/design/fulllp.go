@@ -26,11 +26,7 @@ func FullWorstCaseLP(t topo.Topology, opts Options) (*Result, error) {
 	p := newBareFlowLP(t, opts)
 
 	m := lp.NewModel()
-	for range p.comms {
-		for c := 0; c < p.nc; c++ {
-			m.AddVar(0, "")
-		}
-	}
+	p.addFlowVars(m, false)
 	p.wVar = m.AddVar(1, "w")
 	p.addConservation(m, false)
 

@@ -16,13 +16,13 @@ import (
 // maximum-weight matching, i.e. the worst permutation load on c, so
 // minimizing w yields exactly gamma_wc.
 //
-// Translation symmetry reduces the channel set to one representative per
-// channel orbit of the translation subgroup (the O(CN) -> O(N) collapse of
-// Section 4: one per direction on the torus families, every channel on a
-// family without translations); the pair constraint blocks, which would be
-// |reps| N^2 rows, are generated lazily -- only pairs whose load exceeds the
-// current potentials enter the LP. The Hungarian oracle then certifies
-// optimality exactly.
+// Symmetry reduces the channel set to one representative per channel orbit
+// of the folding group (the O(CN) -> O(N) collapse of Section 4: the single
+// canonical channel on the tori under the full-group folding, one per
+// direction under the translation folding, a few orbits on a mesh); the pair
+// constraint blocks, which would be |reps| N^2 rows, are generated lazily --
+// only pairs whose load exceeds the current potentials enter the LP. The
+// Hungarian oracle then certifies optimality exactly.
 
 // potBlock is the potential-variable block of one representative channel.
 type potBlock struct {
@@ -38,9 +38,8 @@ type potBlock struct {
 
 // addPotentialBlocks extends the model with potential variables and the sum
 // rows sum(u)+sum(v) <= w, one block per given separation representative: a
-// flow LP's p.seps (full-group channel orbits when the symmetrized
-// non-transitive folding is active, translation orbits otherwise), or a path
-// LP's translation orbits. Must run before the solver is constructed.
+// flow LP's p.seps (the channel orbits of its folding group), or a path LP's
+// translation orbits. Must run before the solver is constructed.
 func addPotentialBlocks(m *lp.Model, t topo.Topology, reps []topo.Channel, wVar lp.VarID) []*potBlock {
 	n := t.Nodes()
 	blocks := make([]*potBlock, 0, len(reps))
@@ -154,11 +153,10 @@ func newPotentialLP(t topo.Topology, withLocality bool, opts Options) *FlowLP {
 	p := newBareFlowLP(t, opts)
 
 	m := lp.NewModel()
-	p.addFlowVars(m)
+	p.addFlowVars(m, true)
 	p.wVar = m.AddVar(1, "w")
 	blocks := addPotentialBlocks(m, t, p.seps, p.wVar)
 	p.addConservation(m, false)
-	p.addSymmetry(m)
 	if withLocality {
 		p.addLocalityRow(m)
 	}

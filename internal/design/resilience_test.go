@@ -248,3 +248,94 @@ func TestLexCheckpointedStage2(t *testing.T) {
 			res.HNorm, res.GammaWC, ref.HNorm, ref.GammaWC)
 	}
 }
+
+// TestPreviousVersionSnapshotsIgnored: checkpoints and warm-start snapshots
+// (the online loop's per-tenant warm slot is one) sealed under the
+// tcr-ckpt-3 signature come from an LP of another shape — one potential
+// block per translation channel orbit, no tied columns on the tori — and
+// must never be installed. The files here are this run's own state with
+// only the version relabeled and resealed, so nothing but the version tells
+// them apart: the unrelabeled files install, the relabeled ones do not, and
+// each run restarts cold and matches a fresh run.
+func TestPreviousVersionSnapshotsIgnored(t *testing.T) {
+	tor := topo.NewTorus(4)
+	dir := t.TempDir()
+	relabel := func(path string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ck checkpoint
+		if err := json.Unmarshal(data, &ck); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(ck.Sig, checkpointVersion+" ") {
+			t.Fatalf("signature %q does not start with %s", ck.Sig, checkpointVersion)
+		}
+		ck.Sig = "tcr-ckpt-3" + strings.TrimPrefix(ck.Sig, checkpointVersion)
+		sealed, err := ck.seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, sealed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(what string, got, want *Result) {
+		t.Helper()
+		if !got.Certified || goldenHash(got.Flow.X, got.Objective) != goldenHash(want.Flow.X, want.Objective) ||
+			got.Rounds != want.Rounds || got.Iterations != want.Iterations {
+			t.Errorf("%s: certified=%v rounds=%d iters=%d, fresh run rounds=%d iters=%d (or flows differ)",
+				what, got.Certified, got.Rounds, got.Iterations, want.Rounds, want.Iterations)
+		}
+	}
+
+	// Checkpoint resume.
+	ckpt := filepath.Join(dir, "wc.ckpt")
+	partial, err := WorstCaseOptimal(tor, Options{Checkpoint: ckpt, MaxRounds: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial.Certified {
+		t.Fatal("3-round run certified; expected a leftover checkpoint")
+	}
+	if _, _, ok := newPotentialLP(tor, false, Options{Checkpoint: ckpt}).restoreCheckpoint(); !ok {
+		t.Fatal("the current-version checkpoint does not install; the test cannot tell versions apart")
+	}
+	relabel(ckpt)
+	if _, _, ok := newPotentialLP(tor, false, Options{Checkpoint: ckpt}).restoreCheckpoint(); ok {
+		t.Fatal("a tcr-ckpt-3 checkpoint was installed")
+	}
+	fresh, err := WorstCaseOptimal(tor, Options{Checkpoint: filepath.Join(dir, "ref.ckpt")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := WorstCaseOptimal(tor, Options{Checkpoint: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("run over a tcr-ckpt-3 checkpoint", resumed, fresh)
+
+	// Warm start.
+	snap := filepath.Join(dir, "final.snap")
+	if _, err := WorstCaseOptimal(tor, Options{FinalSnapshot: snap}); err != nil {
+		t.Fatal(err)
+	}
+	if !newPotentialLP(tor, false, Options{WarmFrom: snap}).restoreWarmStart() {
+		t.Fatal("the current-version snapshot does not install; the test cannot tell versions apart")
+	}
+	relabel(snap)
+	if newPotentialLP(tor, false, Options{WarmFrom: snap}).restoreWarmStart() {
+		t.Fatal("a tcr-ckpt-3 warm-start snapshot was installed")
+	}
+	cold, err := WorstCaseOptimal(tor, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := WorstCaseOptimal(tor, Options{WarmFrom: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("run warm-started from a tcr-ckpt-3 snapshot", warm, cold)
+}

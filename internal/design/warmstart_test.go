@@ -99,7 +99,7 @@ func TestWarmStartUnusableSnapshotIgnored(t *testing.T) {
 	dir := t.TempDir()
 
 	cases := []struct{ name, content string }{
-		{"torn", `{"sig":"tcr-ckpt-3 k=4`},
+		{"torn", `{"sig":"tcr-ckpt-4 topo=torus2d:4`},
 		{"garbage", "\x00\x01not a snapshot"},
 		{"empty", ""},
 	}

@@ -9,8 +9,7 @@ package topo
 //
 // The element order is part of every folded LP: PairAut takes the first
 // element mapping an offset into the fundamental cone, and the mesh's
-// exhaustive fold and the design layer's stabilizer rows walk Elements() in
-// order. Reordering a table changes which automorphism folds each pair, and
+// exhaustive fold walks Elements() in order. Reordering a table changes which automorphism folds each pair, and
 // with it every design fingerprint.
 type signedPerms struct {
 	dims    int
