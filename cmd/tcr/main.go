@@ -198,7 +198,6 @@ func cmdFigure1(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("figure1", flag.ExitOnError)
 	k := fs.Int("k", 6, "torus radix (k=8 reproduces the paper; its sweep takes over 30 minutes)")
 	points := fs.Int("points", 11, "Pareto sweep points")
-	with2turn := fs.Bool("with2turn", false, "also design and plot the 2TURN point (slow)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -217,25 +216,18 @@ func cmdFigure1(ctx context.Context, args []string) error {
 	for _, p := range pts {
 		fmt.Printf("%.4f\t%.4f\n", p.HNorm, p.Theta)
 	}
+	tt, err := tcr.Design2TurnCtx(ctx, t, tcr.DesignOptions{})
+	if err != nil {
+		return err
+	}
 	fmt.Println("\n# algorithm points (Hnorm, wc_frac)")
 	fmt.Println("alg\tHnorm\twc_frac")
-	for _, alg := range closedForms() {
+	for _, alg := range append(closedForms(), tt.Table) {
 		m, err := tcr.ReportCtx(ctx, t, alg, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s\t%.4f\t%.4f\n", alg.Name(), m.HNorm, m.WorstCaseFraction)
-	}
-	if *with2turn {
-		tt, err := tcr.Design2TurnCtx(ctx, t, tcr.DesignOptions{})
-		if err != nil {
-			return err
-		}
-		m, err := tcr.ReportCtx(ctx, t, tt.Table, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("2TURN\t%.4f\t%.4f\n", m.HNorm, m.WorstCaseFraction)
 	}
 	return nil
 }
@@ -243,7 +235,7 @@ func cmdFigure1(ctx context.Context, args []string) error {
 func cmdFigure4(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("figure4", flag.ExitOnError)
 	kmin := fs.Int("kmin", 3, "smallest radix")
-	kmax := fs.Int("kmax", 5, "largest radix (>=6 needs minutes per radix)")
+	kmax := fs.Int("kmax", 5, "largest radix")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -276,7 +268,6 @@ func cmdFigure5(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("figure5", flag.ExitOnError)
 	k := fs.Int("k", 8, "torus radix")
 	points := fs.Int("points", 11, "alpha sweep points")
-	with2turn := fs.Bool("with2turn", false, "also interpolate DOR<->2TURN (requires the slow LP design)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -285,36 +276,24 @@ func cmdFigure5(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	var ttAlg tcr.Algorithm
-	if *with2turn {
-		tt, err := tcr.Design2TurnCtx(ctx, t, tcr.DesignOptions{})
-		if err != nil {
-			return err
-		}
-		ttAlg = tt.Table
+	tt, err := tcr.Design2TurnCtx(ctx, t, tcr.DesignOptions{})
+	if err != nil {
+		return err
 	}
 	fmt.Println("# interpolated algorithms: alpha from DOR (0) to the non-minimal algorithm (1)")
-	if ttAlg != nil {
-		fmt.Println("alpha\tH_DOR-IVAL\twc_DOR-IVAL\tH_DOR-2TURN\twc_DOR-2TURN")
-	} else {
-		fmt.Println("alpha\tH_DOR-IVAL\twc_DOR-IVAL")
-	}
+	fmt.Println("alpha\tH_DOR-IVAL\twc_DOR-IVAL\tH_DOR-2TURN\twc_DOR-2TURN")
 	for i := 0; i < *points; i++ {
 		alpha := float64(i) / float64(*points-1)
 		a, err := tcr.ReportCtx(ctx, t, tcr.Interpolate(tcr.IVAL(), tcr.DOR(), alpha), nil)
 		if err != nil {
 			return err
 		}
-		if ttAlg != nil {
-			b, err := tcr.ReportCtx(ctx, t, tcr.Interpolate(ttAlg, tcr.DOR(), alpha), nil)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%.2f\t%.4f\t%.4f\t%.4f\t%.4f\n",
-				alpha, a.HNorm, a.WorstCaseFraction, b.HNorm, b.WorstCaseFraction)
-		} else {
-			fmt.Printf("%.2f\t%.4f\t%.4f\n", alpha, a.HNorm, a.WorstCaseFraction)
+		b, err := tcr.ReportCtx(ctx, t, tcr.Interpolate(tt.Table, tcr.DOR(), alpha), nil)
+		if err != nil {
+			return err
 		}
+		fmt.Printf("%.2f\t%.4f\t%.4f\t%.4f\t%.4f\n",
+			alpha, a.HNorm, a.WorstCaseFraction, b.HNorm, b.WorstCaseFraction)
 	}
 	return nil
 }
@@ -325,7 +304,6 @@ func cmdFigure6(ctx context.Context, args []string) error {
 	nSamples := fs.Int("samples", 40, "average-case sample count")
 	seed := fs.Int64("seed", 1, "sample seed")
 	points := fs.Int("points", 9, "Pareto sweep points")
-	with2turn := fs.Bool("with2turn", true, "design and plot 2TURN/2TURNA points")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -345,35 +323,23 @@ func cmdFigure6(ctx context.Context, args []string) error {
 	for _, p := range pts {
 		fmt.Printf("%.4f\t%.4f\n", p.HNorm, p.Theta)
 	}
+	tt, err := tcr.Design2TurnCtx(ctx, t, tcr.DesignOptions{})
+	if err != nil {
+		return err
+	}
+	tta, err := tcr.Design2TurnACtx(ctx, t, samples, tcr.DesignOptions{})
+	if err != nil {
+		return err
+	}
 
 	fmt.Println("\n# algorithm points (Hnorm, avg_frac)")
 	fmt.Println("alg\tHnorm\tavg_frac")
-	for _, alg := range closedForms() {
+	for _, alg := range append(closedForms(), tt.Table, tta.Table) {
 		m, err := tcr.ReportCtx(ctx, t, alg, samples)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s\t%.4f\t%.4f\n", alg.Name(), m.HNorm, m.AvgCaseFraction)
-	}
-	if *with2turn {
-		tt, err := tcr.Design2TurnCtx(ctx, t, tcr.DesignOptions{})
-		if err != nil {
-			return err
-		}
-		m, err := tcr.ReportCtx(ctx, t, tt.Table, samples)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("2TURN\t%.4f\t%.4f\n", m.HNorm, m.AvgCaseFraction)
-		tta, err := tcr.Design2TurnACtx(ctx, t, samples, tcr.DesignOptions{})
-		if err != nil {
-			return err
-		}
-		m, err = tcr.ReportCtx(ctx, t, tta.Table, samples)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("2TURNA\t%.4f\t%.4f\n", m.HNorm, m.AvgCaseFraction)
 	}
 	return nil
 }

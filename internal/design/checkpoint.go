@@ -91,7 +91,7 @@ func (ck *checkpoint) verify() bool {
 // topology string.
 func (p *FlowLP) sig() string {
 	loc := ""
-	if p.hasH {
+	if p.hRow >= 0 {
 		loc = fmt.Sprintf(" loc=%g", p.locNorm)
 	}
 	return fmt.Sprintf("%s topo=%s fold=%d cuts=%d stage=%d tol=%g%s",
@@ -215,7 +215,7 @@ func (p *FlowLP) restoreWarmStart() (ok bool) {
 	if _, _, ok := p.installSnapshot(p.opts.WarmFrom, func(s string) bool { return stripLoc(s) == sig }); !ok {
 		return false
 	}
-	if p.hasH {
+	if p.hRow >= 0 {
 		p.record(cutEntry{Kind: cutLoc, Val: p.locNorm})
 	}
 	return true

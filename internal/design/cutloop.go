@@ -44,7 +44,8 @@ type cutLoop struct {
 	// (the mean maximum load over a traffic sample) rather than its
 	// worst-case load. A degraded result then reports the score as its
 	// Objective and evaluates GammaWC afresh; otherwise the score is
-	// GammaWC and Objective is the LP bound of the best iterate's round.
+	// GammaWC, which certify checks against every channel, and Objective
+	// is the LP bound of the best iterate's round.
 	sampled bool
 	// lastRoundIters makes a certified result report only the final
 	// round's pivots as Result.Iterations, the potential-LP convention;
@@ -110,7 +111,7 @@ func (l *cutLoop) run(ctx context.Context) (*Result, error) {
 			}
 		}
 		if !violated {
-			return l.certify(ctx, res, flow, sol)
+			return l.certify(ctx, res, flow, sol, score)
 		}
 		if l.ckpt != nil && (round+1)%l.opts.ckptEvery() == 0 {
 			if err := l.ckpt.writeSnapshot(l.opts.Checkpoint, "checkpoint", round+1, res.Iterations); err != nil {
@@ -124,14 +125,14 @@ func (l *cutLoop) run(ctx context.Context) (*Result, error) {
 }
 
 // certify fills in the certified result for the oracle-approved iterate,
-// then writes the final snapshot and removes the spent checkpoint.
-func (l *cutLoop) certify(ctx context.Context, res *Result, flow *eval.Flow, sol *lp.Solution) (*Result, error) {
+// then writes the final snapshot and removes the spent checkpoint. A
+// worst-case loop's score is the worst case its oracle found on the
+// separation representatives; should the exact all-channel worst case
+// exceed it, the representatives did not cover every channel and the
+// iterate is returned uncertified instead.
+func (l *cutLoop) certify(ctx context.Context, res *Result, flow *eval.Flow, sol *lp.Solution, score float64) (*Result, error) {
 	res.Flow = flow
 	res.Objective = sol.Objective
-	res.Certified = true
-	if l.lastRoundIters {
-		res.Iterations = sol.Iterations
-	}
 	var err error
 	res.GammaWC, _, err = flow.WorstCaseCtx(ctx, l.opts.Workers)
 	if err != nil {
@@ -139,6 +140,14 @@ func (l *cutLoop) certify(ctx context.Context, res *Result, flow *eval.Flow, sol
 	}
 	res.HAvg = flow.HAvg()
 	res.HNorm = flow.HNorm()
+	if !l.sampled && res.GammaWC > score*(1+l.opts.tol()) {
+		res.Reason = fmt.Sprintf("%s: worst case %v over all channels exceeds the %v certified on the representatives", l.name, res.GammaWC, score)
+		return res, nil
+	}
+	res.Certified = true
+	if l.lastRoundIters {
+		res.Iterations = sol.Iterations
+	}
 	if p := l.ckpt; p != nil {
 		if err := p.writeSnapshot(l.opts.FinalSnapshot, "final-snapshot", res.Rounds, res.Iterations); err != nil {
 			return nil, err

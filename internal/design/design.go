@@ -52,7 +52,8 @@ import (
 	"tcr/internal/traffic"
 )
 
-// Fold selects the symmetry reduction applied to the flow formulation.
+// Fold selects the symmetry reduction of the design LPs, flow and path
+// alike; the sampled path LPs (2TURNA, MIN-AVG) always fold by translation.
 type Fold int
 
 const (
@@ -238,7 +239,6 @@ type FlowLP struct {
 	solver *lp.Solver
 	wVar   lp.VarID // the max-load variable
 	hRow   lp.RowID // locality budget row, -1 when absent
-	hasH   bool
 
 	// blocks are the matching-dual potential blocks when the LP was built
 	// by newPotentialLP; nil for the pure cutting-plane formulation.
@@ -308,18 +308,12 @@ func NewFlowLP(t topo.Topology, withLocality bool, opts Options) *FlowLP {
 // names were a measurable share of the mesh model-build cost.
 func (p *FlowLP) addFlowVars(m *lp.Model, tie bool) {
 	p.cols = make([]lp.VarID, len(p.comms)*p.nc)
-	p.stabs = make([][]topo.AutID, len(p.comms))
-	id := p.grp.Identity()
-	var els []topo.AutID
 	if tie {
-		els = p.grp.Elements()
+		p.findStabilizers()
+	} else {
+		p.stabs = make([][]topo.AutID, len(p.comms))
 	}
-	for ci, cm := range p.comms {
-		for _, h := range els {
-			if h != id && p.grp.ApplyNode(h, cm.src) == cm.src && p.grp.ApplyNode(h, cm.dst) == cm.dst {
-				p.stabs[ci] = append(p.stabs[ci], h)
-			}
-		}
+	for ci := range p.comms {
 		row := p.cols[ci*p.nc : (ci+1)*p.nc]
 		for c := range row {
 			rep := c
@@ -335,6 +329,21 @@ func (p *FlowLP) addFlowVars(m *lp.Model, tie bool) {
 		}
 	}
 	m.AddVars(p.nFlow)
+}
+
+// findStabilizers fills stabs: for each commodity, the nontrivial elements
+// of the folding group that fix its pair.
+func (p *FlowLP) findStabilizers() {
+	p.stabs = make([][]topo.AutID, len(p.comms))
+	id := p.grp.Identity()
+	els := p.grp.Elements()
+	for ci, cm := range p.comms {
+		for _, h := range els {
+			if h != id && p.grp.ApplyNode(h, cm.src) == cm.src && p.grp.ApplyNode(h, cm.dst) == cm.dst {
+				p.stabs[ci] = append(p.stabs[ci], h)
+			}
+		}
+	}
 }
 
 // addConservation appends the flow-conservation rows: for each commodity and
@@ -389,7 +398,6 @@ func (p *FlowLP) addLocalityRow(m *lp.Model) {
 	}
 	// H_avg = (1/N) * sum weight * pathlen; constrain the sum directly.
 	p.hRow = m.AddRow(terms, lp.LE, float64(p.n)*p.T.MeanMinDist(), "H")
-	p.hasH = true
 }
 
 func (p *FlowLP) buildCommodities() {
@@ -425,7 +433,7 @@ func (p *FlowLP) pairLoadVar(s, d int, c topo.Channel) lp.VarID {
 // SetLocality re-targets the locality row at normalized average path length
 // hNorm (1 = minimal, 2 = twice minimal).
 func (p *FlowLP) SetLocality(hNorm float64) {
-	if !p.hasH {
+	if p.hRow < 0 {
 		//lint:ignore libpanic caller bug, not a data condition: every in-package caller builds the LP with a locality row
 		panic("design: SetLocality on an LP built without a locality row")
 	}
@@ -464,17 +472,24 @@ func (p *FlowLP) matrixCutTerms(c topo.Channel, lam *traffic.Matrix, bound lp.Va
 	return append(terms, lp.Term{Var: bound, Coef: -1})
 }
 
-// unfold expands an LP solution into a full flow table: one row per relative
-// destination on vertex-transitive families (the induced
-// translation-invariant routing function), one row per ordered pair
-// otherwise.
+// unfold expands an LP solution into a full flow table (see expand).
 func (p *FlowLP) unfold(x []float64) *eval.Flow {
+	return p.expand(func(ci int, c topo.Channel) float64 { return x[p.varID(ci, c)] })
+}
+
+// expand builds the full flow table from folded commodity flows, where
+// load(ci, c) is commodity ci's flow on channel c: pair (s, d) carries on c
+// what its commodity carries on the image of c under the pair's
+// automorphism. The table has one row per relative destination on
+// vertex-transitive families (the induced translation-invariant routing
+// function) and one row per ordered pair otherwise.
+func (p *FlowLP) expand(load func(ci int, c topo.Channel) float64) *eval.Flow {
 	t := p.T
 	f := eval.NewFlow(t)
 	fill := func(row []float64, idx int) {
 		ci, a := p.pairComm[idx], p.pairAut[idx]
 		for c := 0; c < p.nc; c++ {
-			row[c] = x[p.varID(ci, p.grp.ApplyChan(a, topo.Channel(c)))]
+			row[c] = load(ci, p.grp.ApplyChan(a, topo.Channel(c)))
 		}
 	}
 	if t.VertexTransitive() {
@@ -514,7 +529,8 @@ type Result struct {
 	// within the round, pivot, and deadline budgets. When false the
 	// result is a graceful degradation: Flow is the best feasible routing
 	// encountered (its GammaWC exactly evaluated), Objective the LP lower
-	// bound at that round, and Reason says which budget ran out.
+	// bound at that round, and Reason says which budget ran out, or that
+	// the all-channel worst case exceeded the certified one.
 	Certified bool
 	// Reason explains an uncertified outcome; empty when Certified.
 	Reason string

@@ -68,6 +68,20 @@ func TestFoldingsAgree(t *testing.T) {
 			}
 		}
 	}
+	// The 2TURN path LP folds the same two ways; its translation folding
+	// takes seconds from k=4 on, so the cross-check runs at k=3.
+	t3 := topo.NewTorus(3)
+	a, err := DesignTwoTurn(t3, Options{Fold: FoldOctant})
+	if err != nil {
+		t.Fatalf("2TURN octant: %v", err)
+	}
+	b, err := DesignTwoTurn(t3, Options{Fold: FoldTranslation})
+	if err != nil {
+		t.Fatalf("2TURN translation: %v", err)
+	}
+	if math.Abs(a.GammaWC-b.GammaWC) > 1e-5 || math.Abs(a.HNorm-b.HNorm) > 1e-5 {
+		t.Fatalf("2TURN: octant (gamma %v, H %v) vs translation (%v, %v)", a.GammaWC, a.HNorm, b.GammaWC, b.HNorm)
+	}
 }
 
 func TestFullLPMatchesCuttingPlanes(t *testing.T) {
@@ -134,9 +148,6 @@ func TestMinLocalityAtWorstCase(t *testing.T) {
 }
 
 func TestDesignTwoTurnK4MatchesOptimal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two-stage 2TURN path LP takes ~35s; skipped in -short (the race gate)")
-	}
 	// Section 5.2 / Figure 4: for k = 4 (and 6), 2TURN exactly matches the
 	// optimal locality at maximal worst-case throughput.
 	tor := topo.NewTorus(4)
@@ -162,6 +173,25 @@ func TestDesignTwoTurnK4MatchesOptimal(t *testing.T) {
 	gw, _ := f.WorstCase()
 	if math.Abs(gw-tt.GammaWC) > 1e-6 {
 		t.Fatalf("table worst case %v vs reported %v", gw, tt.GammaWC)
+	}
+}
+
+// TestDesignTwoTurnK8 is the paper's Section 5.2 headline instance: 2TURN
+// on the 8-ary 2-cube keeps the optimal worst case (gamma 2, half of
+// capacity) at about 1.48x minimal locality.
+func TestDesignTwoTurnK8(t *testing.T) {
+	if testing.Short() {
+		t.Skip("k=8 2TURN design takes about 3 s")
+	}
+	tt, err := DesignTwoTurn(topo.NewTorus(8), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(tt.GammaWC-2) > 1e-5*2 {
+		t.Errorf("2TURN gamma_wc = %v, want 2", tt.GammaWC)
+	}
+	if math.Abs(tt.HNorm-1.4844) > 1e-3 {
+		t.Errorf("2TURN HNorm = %v, want about 1.4844 (paper ~1.48)", tt.HNorm)
 	}
 }
 
@@ -261,9 +291,6 @@ func TestAvgCaseLocalityConstraintBinds(t *testing.T) {
 }
 
 func TestDesignTwoTurnAvg(t *testing.T) {
-	if testing.Short() {
-		t.Skip("2TURNA + 2TURN path LPs take ~34s; skipped in -short (the race gate)")
-	}
 	tor := topo.NewTorus(4)
 	samples := traffic.Sample(tor.N, 8, 31)
 	res, err := DesignTwoTurnAvg(tor, samples, Options{Slack: 1e-6})

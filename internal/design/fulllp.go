@@ -39,17 +39,7 @@ func FullWorstCaseLP(t topo.Topology, opts Options) (*Result, error) {
 	emit = func(k int) {
 		if k == p.n {
 			for c := 0; c < p.nc; c++ {
-				terms := make([]lp.Term, 0, p.n+1)
-				for s, d := range perm {
-					if s == d {
-						continue
-					}
-					if v := p.pairLoadVar(s, d, topo.Channel(c)); v >= 0 {
-						terms = append(terms, lp.Term{Var: v, Coef: 1})
-					}
-				}
-				terms = append(terms, lp.Term{Var: p.wVar, Coef: -1})
-				m.AddRow(terms, lp.LE, 0, "")
+				m.AddRow(p.PermCutTerms(topo.Channel(c), perm, p.wVar), lp.LE, 0, "")
 			}
 			return
 		}

@@ -147,7 +147,7 @@ func TestGoldenLoopFingerprints(t *testing.T) {
 		}, "73fea66f6fce9b2b", 10, 835},
 		{"DesignTwoTurn k=3", func() (string, int, int) {
 			return pathCase("DesignTwoTurn", func() (*PathResult, error) { return DesignTwoTurn(t3, opts) })
-		}, "cba902595aed0da7", 10, 0},
+		}, "e95bfbae7a895d05", 8, 0},
 		{"DesignTwoTurnAvg k=3", func() (string, int, int) {
 			return pathCase("DesignTwoTurnAvg", func() (*PathResult, error) {
 				return DesignTwoTurnAvg(t3, traffic.Sample(t3.N, 12, 17), opts)

@@ -21,7 +21,7 @@ func (p *FlowLP) WVar() lp.VarID { return p.wVar }
 
 // LocalityRow returns the locality budget row and whether the LP was built
 // with one.
-func (p *FlowLP) LocalityRow() (lp.RowID, bool) { return p.hRow, p.hasH }
+func (p *FlowLP) LocalityRow() (lp.RowID, bool) { return p.hRow, p.hRow >= 0 }
 
 // PermCutTerms builds the terms of the load cut gamma_c(R, perm) <= bound
 // for a permutation traffic pattern: the per-pair load variables on channel

@@ -37,9 +37,9 @@ type potBlock struct {
 }
 
 // addPotentialBlocks extends the model with potential variables and the sum
-// rows sum(u)+sum(v) <= w, one block per given separation representative: a
-// flow LP's p.seps (the channel orbits of its folding group), or a path LP's
-// translation orbits. Must run before the solver is constructed.
+// rows sum(u)+sum(v) <= w, one block per given separation representative (a
+// flow or path LP's seps, one channel per orbit of its folding group). Must
+// run before the solver is constructed.
 func addPotentialBlocks(m *lp.Model, t topo.Topology, reps []topo.Channel, wVar lp.VarID) []*potBlock {
 	n := t.Nodes()
 	blocks := make([]*potBlock, 0, len(reps))
@@ -190,5 +190,6 @@ func newPotentialLP(t topo.Topology, withLocality bool, opts Options) *FlowLP {
 const maxRowsPerBlockRound = 128
 
 // maxPathRowsPerBlockRound is the same cap for the path LPs, which grow
-// every violated block each round (twoturn.go: PathLP.solveWC).
+// every violated block each round and add a permutation cut only when no
+// pair row is left (twoturn.go: PathLP.solveWC).
 const maxPathRowsPerBlockRound = 48

@@ -1,11 +1,14 @@
 package design
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"tcr/internal/eval"
+	"tcr/internal/lp"
 	"tcr/internal/matching"
+	"tcr/internal/routing"
 	"tcr/internal/topo"
 )
 
@@ -88,12 +91,27 @@ func TestDesignedFlowsAreGroupInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		designs := []struct {
+		type designRun struct {
 			name string
 			run  func() (*Result, error)
-		}{
+		}
+		designs := []designRun{
 			{"WorstCaseOptimal", func() (*Result, error) { return WorstCaseOptimal(tp, opts) }},
 			{"WorstCaseAtLocality(1.25)", func() (*Result, error) { return WorstCaseAtLocality(tp, 1.25, opts) }},
+		}
+		if tor, ok := tp.(*topo.Torus); ok {
+			designs = append(designs, designRun{"DesignTwoTurn", func() (*Result, error) {
+				res, err := DesignTwoTurn(tor, opts)
+				if err != nil {
+					return nil, err
+				}
+				// The table maps the commodities' paths back through the
+				// pair automorphisms; it must route the unfolded flow.
+				if h := eval.FromAlgorithm(tor, res.Table).HNorm(); math.Abs(h-res.HNorm) > 1e-9*res.HNorm {
+					t.Errorf("%s DesignTwoTurn: table HNorm %v, flow HNorm %v", spec, h, res.HNorm)
+				}
+				return &Result{Flow: res.Flow, GammaWC: res.GammaWC, Certified: true}, nil
+			}})
 		}
 		for _, dc := range designs {
 			res, err := dc.run()
@@ -124,5 +142,41 @@ func TestDesignedFlowsAreGroupInvariant(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCertifyChecksEveryChannel runs the cut loop on a separation step that
+// under-reports its iterate's worst case, as one whose representatives miss
+// a channel orbit would: the loop must not certify the iterate. The same
+// stub reporting the true worst case certifies.
+func TestCertifyChecksEveryChannel(t *testing.T) {
+	flow := eval.FromAlgorithm(topo.NewTorus(4), routing.DOR{})
+	gw, _ := flow.WorstCase()
+	stub := func(score float64) *cutLoop {
+		return &cutLoop{name: "stub loop", opts: Options{Workers: 1},
+			solve: func(context.Context) (*lp.Solution, error) {
+				return &lp.Solution{Status: lp.Optimal, Objective: score}, nil
+			},
+			separate: func(context.Context, *lp.Solution) (*eval.Flow, float64, bool, error) {
+				return flow, score, false, nil
+			}}
+	}
+	res, err := stub(gw / 2).run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Certified || res.Reason == "" {
+		t.Fatalf("score %v under the worst case %v: Certified %v, Reason %q", gw/2, gw, res.Certified, res.Reason)
+	}
+	//lint:ignore floatcmp both sides are the same exact Hungarian evaluation
+	if res.GammaWC != gw {
+		t.Errorf("uncertified GammaWC %v, want the exact %v", res.GammaWC, gw)
+	}
+	res, err = stub(gw).run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Certified {
+		t.Fatalf("true score uncertified: %s", res.Reason)
 	}
 }

@@ -19,63 +19,90 @@ import (
 type PathFamily func(t *topo.Torus, s, d topo.Node) []paths.Path
 
 // PathLP is a path-based routing design problem over a family of candidate
-// paths from the canonical source to every relative destination, with
-// constraint-generated worst-case or average-case load bounds.
+// paths per commodity, with constraint-generated worst-case or average-case
+// load bounds. It folds like the flow LP: one commodity per pair class of
+// the folding group, pair loads read through each pair's automorphism, and
+// the paths that a commodity's stabilizer maps onto each other sharing a
+// column.
 type PathLP struct {
-	T    *topo.Torus
-	opts Options
+	T *topo.Torus
+	// flp holds the folding state (group, commodities, pair maps,
+	// stabilizers), the solver, w, the locality row and potential blocks.
+	flp *FlowLP
 
-	rels   []topo.Node // relative destinations, 1..N-1
-	pths   [][]paths.Path
-	chBits [][][]uint64 // [relIdx][pathIdx] channel bitset
-	varOf  [][]lp.VarID
-	lens   [][]int
+	// cols[ci][i] is the column of commodity ci's path i, whose channel
+	// sequence is chans[ci][i]; onChan[ci][c] lists, per path of ci
+	// crossing channel c, that path's column.
+	cols   [][]lp.VarID
+	chans  [][][]topo.Channel
+	onChan [][][]lp.VarID
 
-	solver *lp.Solver
-	wVar   lp.VarID
-	tVars  []lp.VarID
-	hRow   lp.RowID
-	hasH   bool
-	blocks []*potBlock // matching-dual potentials (worst-case mode)
-
+	tVars   []lp.VarID
 	samples []*traffic.Matrix
 }
 
-// NewPathLP enumerates the family and builds the base LP (distribution rows
-// per destination, objective min w or min mean(t) when samples are given).
-// It fails if the family produces no path for some destination: the caller
-// supplies the family, so an empty one is a data condition, not a bug.
+// NewPathLP enumerates the family per commodity and builds the base LP
+// (distribution rows per commodity, objective min w or min mean(t) when
+// samples are given). Worst-case LPs fold by Options.Fold; sampled LPs by
+// translation, since their objective is not group-invariant (see
+// NewAvgCaseLP). It fails if the family produces no path for some commodity,
+// or if a commodity's stabilizer maps one of its paths outside the family:
+// the caller supplies the family, so either is a data condition, not a bug.
 func NewPathLP(t *topo.Torus, family PathFamily, samples []*traffic.Matrix, withLocality bool, opts Options) (*PathLP, error) {
-	p := &PathLP{T: t, opts: opts, samples: samples, hRow: -1}
-	words := (t.C + 63) / 64
-	m := lp.NewModel()
-	for rel := 1; rel < t.N; rel++ {
-		ps := family(t, 0, topo.Node(rel))
-		if len(ps) == 0 {
-			return nil, fmt.Errorf("design: empty path family for destination %d", rel)
-		}
-		vars := make([]lp.VarID, len(ps))
-		bits := make([][]uint64, len(ps))
-		lens := make([]int, len(ps))
-		for i, path := range ps {
-			vars[i] = m.AddVar(0, "")
-			b := make([]uint64, words)
-			for _, c := range path.Channels(t) {
-				b[int(c)/64] |= 1 << (uint(c) % 64)
-			}
-			bits[i] = b
-			lens[i] = path.Len()
-		}
-		p.rels = append(p.rels, topo.Node(rel))
-		p.pths = append(p.pths, ps)
-		p.chBits = append(p.chBits, bits)
-		p.varOf = append(p.varOf, vars)
-		p.lens = append(p.lens, lens)
+	if samples != nil {
+		opts.Fold = FoldTranslation
 	}
-	p.wVar = m.AddVar(0, "w")
+	f := newBareFlowLP(t, opts)
+	f.findStabilizers()
+	p := &PathLP{T: t, flp: f, samples: samples}
+	m := lp.NewModel()
+	for ci, cm := range f.comms {
+		ps := family(t, cm.src, cm.dst)
+		if len(ps) == 0 {
+			return nil, fmt.Errorf("design: empty path family for pair (%d, %d)", cm.src, cm.dst)
+		}
+		chans := make([][]topo.Channel, len(ps))
+		index := make(map[string]int, len(ps))
+		for i, path := range ps {
+			chans[i] = path.Channels(t)
+			index[fmt.Sprint(chans[i])] = i
+		}
+		cols := make([]lp.VarID, len(ps))
+		dist := make([]lp.Term, len(ps)) // the unit-distribution row
+		onChan := make([][]lp.VarID, t.C)
+		img := make([]topo.Channel, 0, t.C)
+		for i, chs := range chans {
+			rep := i
+			for _, h := range f.stabs[ci] {
+				img = img[:0]
+				for _, c := range chs {
+					img = append(img, f.grp.ApplyChan(h, c))
+				}
+				j, ok := index[fmt.Sprint(img)]
+				if !ok {
+					return nil, fmt.Errorf("design: path family not closed under the symmetry of pair (%d, %d)", cm.src, cm.dst)
+				}
+				rep = min(rep, j)
+			}
+			if rep < i {
+				cols[i] = cols[rep]
+			} else {
+				cols[i] = m.AddVar(0, "")
+			}
+			dist[i] = lp.Term{Var: cols[i], Coef: 1} // merged: a tied column counts its paths
+			for _, c := range chs {
+				onChan[c] = append(onChan[c], cols[i])
+			}
+		}
+		m.AddRow(dist, lp.EQ, 1, "")
+		p.cols = append(p.cols, cols)
+		p.chans = append(p.chans, chans)
+		p.onChan = append(p.onChan, onChan)
+	}
+	f.wVar = m.AddVar(0, "w")
 	if samples == nil {
-		m.SetObj(p.wVar, 1)
-		p.blocks = addPotentialBlocks(m, t, t.TransGroup().ChanOrbitReps(), p.wVar)
+		m.SetObj(f.wVar, 1)
+		f.blocks = addPotentialBlocks(m, t, f.seps, f.wVar)
 	} else {
 		inv := 1 / float64(len(samples))
 		p.tVars = make([]lp.VarID, len(samples))
@@ -83,59 +110,56 @@ func NewPathLP(t *topo.Torus, family PathFamily, samples []*traffic.Matrix, with
 			p.tVars[i] = m.AddVar(inv, fmt.Sprintf("t[%d]", i))
 		}
 	}
-
-	// Unit-distribution rows.
-	for ri := range p.rels {
-		terms := make([]lp.Term, len(p.varOf[ri]))
-		for i, v := range p.varOf[ri] {
-			terms[i] = lp.Term{Var: v, Coef: 1}
-		}
-		m.AddRow(terms, lp.EQ, 1, "")
-	}
 	if withLocality {
 		var terms []lp.Term
-		for ri := range p.rels {
-			for i, v := range p.varOf[ri] {
-				if p.lens[ri][i] != 0 {
-					terms = append(terms, lp.Term{Var: v, Coef: float64(p.lens[ri][i])})
+		for ci, cols := range p.cols {
+			for i, v := range cols {
+				if n := len(p.chans[ci][i]); n != 0 {
+					terms = append(terms, lp.Term{Var: v, Coef: f.comms[ci].weight * float64(n)})
 				}
 			}
 		}
-		p.hRow = m.AddRow(terms, lp.LE, float64(t.N)*t.MeanMinDist(), "H")
-		p.hasH = true
+		f.hRow = m.AddRow(terms, lp.LE, float64(t.N)*t.MeanMinDist(), "H")
 	}
-	p.solver = lp.NewSolver(m)
+	f.solver = lp.NewSolver(m)
 	// Path LPs have enormous, harmless optimal faces (any optimal vertex
 	// is an equally valid probability weighting); the anti-degeneracy cost
 	// jitter would make the simplex chase a noise-optimal vertex across
 	// that face, so switch it off here.
-	p.solver.SetJitter(false)
+	f.solver.SetJitter(false)
 	return p, nil
 }
 
 // SetLocality re-targets the locality row (normalized units).
-func (p *PathLP) SetLocality(hNorm float64) {
-	if !p.hasH {
-		//lint:ignore libpanic caller bug, not a data condition: every in-package caller builds the LP with a locality row
-		panic("design: SetLocality on a path LP built without a locality row")
+func (p *PathLP) SetLocality(hNorm float64) { p.flp.SetLocality(hNorm) }
+
+// setLengthObjective makes the objective the total (orbit-weighted) path
+// length, the lexicographic designs' second stage; bounds holds the first
+// stage's objective variables, whose costs drop to zero. A tied column's
+// coefficient sums its paths' lengths.
+func (p *PathLP) setLengthObjective(bounds ...lp.VarID) {
+	obj := make([]float64, p.flp.wVar) // the path columns come first
+	for ci, cols := range p.cols {
+		for i, v := range cols {
+			obj[v] += p.flp.comms[ci].weight * float64(len(p.chans[ci][i]))
+		}
 	}
-	p.solver.SetRHS(int(p.hRow), hNorm*float64(p.T.N)*p.T.MeanMinDist())
+	for v, w := range obj {
+		p.flp.solver.SetObjCoef(lp.VarID(v), w)
+	}
+	for _, v := range bounds {
+		p.flp.solver.SetObjCoef(v, 0)
+	}
 }
 
 // appendPairLoad appends coef times the load pair (s, d) places on channel
-// c, in path variables: the pair's relative-destination paths that cross c
-// once it is translated into source s's frame.
+// c, in path variables: the paths of the pair's commodity that cross the
+// image of c under the pair's automorphism.
 func (p *PathLP) appendPairLoad(terms []lp.Term, c topo.Channel, s, d int, coef float64) []lp.Term {
-	t := p.T
-	ux, uy := t.Coord(t.ChanSrc(c))
-	sx, sy := t.Coord(topo.Node(s))
-	tc := t.Chan(t.NodeAt(ux-sx, uy-sy), t.ChanDir(c))
-	rx, ry := t.Rel(topo.Node(s), topo.Node(d))
-	ri := int(t.NodeAt(rx, ry)) - 1 // relative destinations start at 1
-	for i, v := range p.varOf[ri] {
-		if p.chBits[ri][i][int(tc)/64]&(1<<(uint(tc)%64)) != 0 {
-			terms = append(terms, lp.Term{Var: v, Coef: coef})
-		}
+	f := p.flp
+	idx := s*f.n + d
+	for _, v := range p.onChan[f.pairComm[idx]][f.grp.ApplyChan(f.pairAut[idx], c)] {
+		terms = append(terms, lp.Term{Var: v, Coef: coef})
 	}
 	return terms
 }
@@ -152,46 +176,48 @@ func (p *PathLP) matrixCut(c topo.Channel, lam *traffic.Matrix, bound lp.VarID) 
 		}
 	}
 	terms = append(terms, lp.Term{Var: bound, Coef: -1})
-	p.solver.AddCut(terms, lp.LE, 0)
+	p.flp.solver.AddCut(terms, lp.LE, 0)
 }
 
 // table converts an LP solution into a routing table (dropping
-// zero-probability paths and renormalizing away LP tolerance dust).
+// zero-probability paths and renormalizing away LP tolerance dust): the
+// paths of relative destination rel are its commodity's, mapped back
+// through the inverse of the pair's automorphism.
 func (p *PathLP) table(x []float64, label string) *routing.Table {
-	dist := make(map[topo.Node][]paths.Weighted, len(p.rels))
-	for ri, rel := range p.rels {
+	f := p.flp
+	dist := make(map[topo.Node][]paths.Weighted, f.n-1)
+	for rel := 1; rel < f.n; rel++ {
+		ci, inv := f.pairComm[rel], f.grp.Inverse(f.pairAut[rel]) // pair (0, rel)
 		var ws []paths.Weighted
 		var sum float64
-		for i, v := range p.varOf[ri] {
+		for i, v := range p.cols[ci] {
 			if pr := x[v]; pr > pathProbFloor {
-				ws = append(ws, paths.Weighted{Path: p.pths[ri][i], Prob: pr})
+				dirs := make([]topo.Dir, len(p.chans[ci][i]))
+				for j, c := range p.chans[ci][i] {
+					dirs[j] = p.T.ChanDir(f.grp.ApplyChan(inv, c))
+				}
+				ws = append(ws, paths.Weighted{Path: paths.Path{Src: 0, Dirs: dirs}, Prob: pr})
 				sum += pr
 			}
 		}
 		for i := range ws {
 			ws[i].Prob /= sum
 		}
-		dist[rel] = ws
+		dist[topo.Node(rel)] = ws
 	}
 	return &routing.Table{Label: label, Dist: dist}
 }
 
-// flowOf builds the flow table of an LP solution.
-func (p *PathLP) flowOf(x []float64) *eval.Flow {
-	f := eval.NewFlow(p.T)
-	for ri, rel := range p.rels {
-		for i, v := range p.varOf[ri] {
-			pr := x[v]
-			//lint:ignore floatcmp sparsity skip: nonbasic LP variables are exactly 0
-			if pr == 0 {
-				continue
-			}
-			for _, c := range p.pths[ri][i].Channels(p.T) {
-				f.X[rel][c] += pr
-			}
+// unfold expands an LP solution into the full flow table through the flow
+// LP's expansion.
+func (p *PathLP) unfold(x []float64) *eval.Flow {
+	return p.flp.expand(func(ci int, c topo.Channel) float64 {
+		load := 0.0
+		for _, v := range p.onChan[ci][c] {
+			load += x[v]
 		}
-	}
-	return f
+		return load
+	})
 }
 
 // PathResult bundles a designed path-based algorithm with its metrics.
@@ -214,7 +240,7 @@ func (p *PathLP) pairRowPath(b *potBlock, s, d int) {
 		lp.Term{Var: b.u + lp.VarID(s), Coef: -1},
 		lp.Term{Var: b.v + lp.VarID(d), Coef: -1},
 	)
-	p.solver.AddCut(terms, lp.LE, 0)
+	p.flp.solver.AddCut(terms, lp.LE, 0)
 	b.added[s*p.T.N+d] = true
 }
 
@@ -225,67 +251,64 @@ func (p *PathLP) pairRowPath(b *potBlock, s, d int) {
 // Options.Workers goroutines; rows are added in block order afterwards, so
 // the cut sequence is worker-count independent.
 func (p *PathLP) solveWC(ctx context.Context, fixedBound float64) (*lp.Solution, *Result, error) {
-	tol := p.opts.tol()
-	chans := make([]topo.Channel, len(p.blocks))
-	for bi, b := range p.blocks {
-		chans[bi] = b.ch
-	}
-	o := newRepOracle(chans)
-	return p.run(ctx, "path LP cuts", func(ctx context.Context, sol *lp.Solution) (*eval.Flow, float64, bool, error) {
-		flow := p.flowOf(sol.X)
-		gw, err := o.run(ctx, p.opts.Workers, flow, nil)
+	f := p.flp
+	tol := f.opts.tol()
+	o := newRepOracle(f.seps)
+	return p.run(ctx, "path LP cuts", false, func(ctx context.Context, sol *lp.Solution) (*eval.Flow, float64, bool, error) {
+		flow := p.unfold(sol.X)
+		gw, err := o.run(ctx, f.opts.Workers, flow, nil)
 		if err != nil {
 			return nil, 0, false, err
 		}
 		bound := fixedBound
 		if math.IsNaN(bound) {
-			bound = sol.X[p.wVar]
+			bound = sol.X[f.wVar]
 		}
 		// Unlike the flow formulation (whose conservation base is large),
-		// the path LP's base is only one row per destination, so growing
+		// the path LP's base is only one row per commodity, so growing
 		// every violated block each round is cheap and cuts round count.
-		// Aggregate permutation cuts are NOT added here: their rows are
-		// dense in path variables and bloat every subsequent pricing pass.
+		// Aggregate permutation cuts are added only when a violated block
+		// has no pair row left past tolerance (many rows each barely past
+		// it can sum to a real violation): their rows are dense in path
+		// variables and would bloat every later pricing pass.
 		limit := bound + tol*math.Max(1, bound)
-		violated, progressed := false, false
-		for bi, b := range p.blocks {
+		violated := false
+		for bi, b := range f.blocks {
 			if o.gammas[bi] <= limit {
 				continue
 			}
 			violated = true
-			for _, idx := range violatedPairs(p.T.N, b, sol.X, o.loads[bi], tol, maxPathRowsPerBlockRound) {
+			rows := violatedPairs(p.T.N, b, sol.X, o.loads[bi], tol, maxPathRowsPerBlockRound)
+			for _, idx := range rows {
 				p.pairRowPath(b, idx/p.T.N, idx%p.T.N)
-				progressed = true
 			}
-		}
-		if violated && !progressed {
-			return nil, 0, false, fmt.Errorf("design: path LP oracle violated but no rows to add")
+			if len(rows) == 0 {
+				p.matrixCut(b.ch, traffic.Permutation(o.perms[bi]), f.wVar)
+			}
 		}
 		return flow, gw, violated, nil
 	})
 }
 
 // run drives one path-LP cut loop to certification and returns the final
-// LP solution with the driver's certified result. Path designs cannot
-// degrade: an expired context surfaces as the context's error and any
-// other exhausted budget as an error naming it.
-func (p *PathLP) run(ctx context.Context, name string, separate separateFunc) (*lp.Solution, *Result, error) {
+// LP solution with the driver's certified result; sampled is the cutLoop
+// field. Path designs cannot degrade: an expired context surfaces as the
+// context's error and any other exhausted budget or failed check as an
+// error naming it.
+func (p *PathLP) run(ctx context.Context, name string, sampled bool, separate separateFunc) (*lp.Solution, *Result, error) {
 	var last *lp.Solution
-	l := &cutLoop{name: name, opts: p.opts, solve: p.solver.SolveCtx,
+	l := &cutLoop{name: name, opts: p.flp.opts, solve: p.flp.solver.SolveCtx, sampled: sampled,
 		separate: func(ctx context.Context, sol *lp.Solution) (*eval.Flow, float64, bool, error) {
 			last = sol
 			return separate(ctx, sol)
 		}}
 	res, err := l.run(ctx)
-	if err != nil || !res.Certified {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
-		}
-	}
-	if err != nil {
+	switch {
+	case (err != nil || !res.Certified) && ctx.Err() != nil:
+		return nil, nil, ctx.Err()
+	case err != nil:
 		return nil, nil, err
-	}
-	if !res.Certified {
+	case !res.Certified:
 		return nil, nil, fmt.Errorf("design: %s", res.Reason)
 	}
 	return last, res, nil
@@ -306,7 +329,6 @@ func DesignTwoTurnCtx(ctx context.Context, t *topo.Torus, opts Options) (*PathRe
 
 // designPathWC is the two-stage (worst case, then locality) path design.
 func designPathWC(ctx context.Context, t *topo.Torus, family PathFamily, label string, opts Options) (*PathResult, error) {
-	slack := opts.slack()
 	p, err := NewPathLP(t, family, nil, false, opts)
 	if err != nil {
 		return nil, err
@@ -315,18 +337,13 @@ func designPathWC(ctx context.Context, t *topo.Torus, family PathFamily, label s
 	if err != nil {
 		return nil, err
 	}
-	wStar := sol.X[p.wVar] * (1 + slack)
+	wStar := sol.X[p.flp.wVar] * (1 + opts.slack())
 
 	// Stage 2: cap w, objective becomes total path length.
 	// The cap is a variable bound, not a cut row: bounded-simplex state
 	// instead of one more basis row.
-	p.solver.SetVarUpper(p.wVar, wStar)
-	for ri := range p.rels {
-		for i, v := range p.varOf[ri] {
-			p.solver.SetObjCoef(v, float64(p.lens[ri][i]))
-		}
-	}
-	p.solver.SetObjCoef(p.wVar, 0)
+	p.flp.solver.SetVarUpper(p.flp.wVar, wStar)
+	p.setLengthObjective(p.flp.wVar)
 	sol, res, err := p.solveWC(ctx, wStar)
 	if err != nil {
 		return nil, err
@@ -353,7 +370,6 @@ func DesignMinimalAvg(t *topo.Torus, samples []*traffic.Matrix, opts Options) (*
 }
 
 func designPathAvg(ctx context.Context, t *topo.Torus, family PathFamily, label string, samples []*traffic.Matrix, opts Options) (*PathResult, error) {
-	slack := opts.slack()
 	p, err := NewPathLP(t, family, samples, false, opts)
 	if err != nil {
 		return nil, err
@@ -362,7 +378,7 @@ func designPathAvg(ctx context.Context, t *topo.Torus, family PathFamily, label 
 	if err != nil {
 		return nil, err
 	}
-	vStar := sol.Objective * (1 + slack)
+	vStar := sol.Objective * (1 + opts.slack())
 
 	// Stage 2: bound the mean of the t variables, minimize path length.
 	inv := 1 / float64(len(samples))
@@ -370,15 +386,8 @@ func designPathAvg(ctx context.Context, t *topo.Torus, family PathFamily, label 
 	for i, v := range p.tVars {
 		terms[i] = lp.Term{Var: v, Coef: inv}
 	}
-	p.solver.AddCut(terms, lp.LE, vStar)
-	for ri := range p.rels {
-		for i, v := range p.varOf[ri] {
-			p.solver.SetObjCoef(v, float64(p.lens[ri][i]))
-		}
-	}
-	for _, v := range p.tVars {
-		p.solver.SetObjCoef(v, 0)
-	}
+	p.flp.solver.AddCut(terms, lp.LE, vStar)
+	p.setLengthObjective(p.tVars...)
 	sol, stage2, err := p.solveAvg(ctx)
 	if err != nil {
 		return nil, err
@@ -395,7 +404,8 @@ func designPathAvg(ctx context.Context, t *topo.Torus, family PathFamily, label 
 
 // solveAvg runs per-sample constraint generation (see sampleSeparator).
 func (p *PathLP) solveAvg(ctx context.Context) (*lp.Solution, *Result, error) {
-	return p.run(ctx, "path avg LP cuts", sampleSeparator(p.opts.Workers, p.samples, p.tVars, p.opts.tol(), p.flowOf, p.matrixCut, nil))
+	opts := p.flp.opts
+	return p.run(ctx, "path avg LP cuts", true, sampleSeparator(opts.Workers, p.samples, p.tVars, opts.tol(), p.unfold, p.matrixCut, nil))
 }
 
 // finish packages a certified final stage as a PathResult; stage1Rounds

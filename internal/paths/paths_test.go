@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -292,6 +293,59 @@ func TestMinimalTwoTurnPaths(t *testing.T) {
 		for _, p := range MinimalTwoTurnPaths(tor, 0, d) {
 			if p.Len() != min {
 				t.Fatalf("dest %d: non-minimal path in minimal set", d)
+			}
+		}
+	}
+}
+
+// TestPathFamiliesClosedUnderGroup checks that the 2TURN path families are
+// closed under the torus's full automorphism group, which the design layer's
+// path LPs rely on to fold by it: every element maps the paths from 0 to d,
+// compared as channel sequences, exactly onto the paths between the images.
+// k=8 also holds but takes about a minute, so it is left out, and -short
+// stops at k=5.
+func TestPathFamiliesClosedUnderGroup(t *testing.T) {
+	families := map[string]func(*topo.Torus, topo.Node, topo.Node) []Path{
+		"TwoTurnPaths": TwoTurnPaths, "MinimalTwoTurnPaths": MinimalTwoTurnPaths,
+	}
+	kmax := 6
+	if testing.Short() {
+		kmax = 5
+	}
+	for k := 3; k <= kmax; k++ {
+		tor := topo.NewTorus(k)
+		g := tor.Group()
+		for name, family := range families {
+			// keys returns a pair's paths as a set of channel sequences.
+			memo := map[[2]topo.Node]map[string]bool{}
+			keys := func(s, d topo.Node) map[string]bool {
+				if m, ok := memo[[2]topo.Node{s, d}]; ok {
+					return m
+				}
+				m := map[string]bool{}
+				for _, p := range family(tor, s, d) {
+					m[fmt.Sprint(p.Channels(tor))] = true
+				}
+				memo[[2]topo.Node{s, d}] = m
+				return m
+			}
+			for d := topo.Node(1); d < topo.Node(tor.N); d++ {
+				ps := family(tor, 0, d)
+				for _, a := range g.Elements() {
+					want := keys(g.ApplyNode(a, 0), g.ApplyNode(a, d))
+					if len(want) != len(ps) {
+						t.Fatalf("k=%d %s: %d paths to %d, %d between its images under element %d", k, name, len(ps), d, len(want), a)
+					}
+					for _, p := range ps {
+						img := p.Channels(tor)
+						for i, c := range img {
+							img[i] = g.ApplyChan(a, c)
+						}
+						if !want[fmt.Sprint(img)] {
+							t.Fatalf("k=%d %s: element %d maps path %v to %d outside the family", k, name, a, p, d)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -4,12 +4,12 @@
 # Runs, in order: build, go vet (default and -tags lpdense), a gofmt check,
 # the repo's own static-analysis pass (tcrlint), the unit tests under the
 # race detector, the dense-oracle configuration (-tags lpdense: engine
-# equivalence, checkpoint, warm-start, Pareto and flow-decomposition tests),
-# the fault-injection suites (-tags lpchaos for the solver, -tags
-# storechaos for the storage crash-consistency harness), the daemon e2e and
-# client retry suites, the online design loop (observe ingest, drift-retune
-# e2e, restart resume, plus the lpchaos re-solve-failure case), the
-# benchmark module (perfbench: vet and tests, so an internal API it uses
+# equivalence, checkpoint, warm-start, Pareto, flow-decomposition and 2TURN
+# path-LP tests), the fault-injection suites (-tags lpchaos for the solver,
+# -tags storechaos for the storage crash-consistency harness), the daemon
+# e2e and client retry suites, the online design loop (observe ingest,
+# drift-retune e2e, restart resume, plus the lpchaos re-solve-failure case),
+# the benchmark module (perfbench: vet and tests, so an internal API it uses
 # cannot vanish unnoticed), the committed results/*.txt regenerated byte for
 # byte (scripts/results.sh), and a short fuzz smoke over the fuzz targets.
 # Any failure aborts with a nonzero exit.
@@ -45,7 +45,7 @@ echo "==> go test -race ./... (short mode)"
 go test -race -short -timeout 30m ./...
 
 echo "==> dense oracle configuration (-tags lpdense)"
-go test -tags lpdense -count=1 ./internal/lp ./internal/design -run 'Equiv|Property|FullLP|Checkpoint|WarmStart|Pareto|Decompose'
+go test -tags lpdense -count=1 ./internal/lp ./internal/design -run 'Equiv|Property|FullLP|Checkpoint|WarmStart|Pareto|Decompose|TwoTurn'
 
 echo "==> go test -tags lpchaos ./internal/... (fault injection)"
 go test -tags lpchaos -timeout 10m ./internal/...

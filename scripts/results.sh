@@ -21,7 +21,7 @@ tcr=$tmp/tcr
 "$tcr" approx -k 8 >"$tmp/approx_k8.txt"
 "$tcr" figure4 -kmin 3 -kmax 4 >"$tmp/figure4_k3-4.txt"
 "$tcr" figure5 -k 8 >"$tmp/figure5_k8.txt"
-"$tcr" figure1 -k 4 -points 9 -with2turn >"$tmp/figure1_k4.txt"
+"$tcr" figure1 -k 4 -points 9 >"$tmp/figure1_k4.txt"
 "$tcr" figure6 -k 4 -samples 30 >"$tmp/figure6_k4.txt"
 "$tcr" worstperm -k 8 -alg DOR | head -8 >"$tmp/worstperm_dor_k8.txt"
 "$tcr" sim -k 8 -alg DOR -pattern tornado -rate 0.9 -measure 5000 >"$tmp/sim_dor_tornado_k8.txt"
