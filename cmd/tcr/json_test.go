@@ -50,23 +50,34 @@ func daemonPost(t *testing.T, ts *httptest.Server, path, body string) []byte {
 	return b
 }
 
-// TestLegacyFingerprintParity pins the content addresses of the radix-form
-// requests from before the topology field existed. The explicit Topology
-// field is omitempty and the empty string never encodes, so legacy requests
-// must keep fingerprinting to the exact same hashes — otherwise every
-// pre-existing store artifact and checkpoint would be orphaned.
+// TestLegacyFingerprintParity pins the content addresses and canonical
+// bytes of requests stored by earlier versions: the radix-form requests from
+// before the topology field existed, and the worst-case design and Pareto
+// requests from before their fold/cuts formulation fields were removed. Every
+// such field was omitempty, so a default request must keep encoding to the
+// exact same bytes and hashes — otherwise every pre-existing store artifact
+// and checkpoint would be orphaned.
 func TestLegacyFingerprintParity(t *testing.T) {
 	cases := []struct {
-		name string
-		req  interface{ Fingerprint() (string, error) }
-		want string
+		name  string
+		req   interface{ Fingerprint() (string, error) }
+		want  string
+		bytes string // canonical encoding; empty skips the check
 	}{
 		{"eval-k4-DOR", store.EvalRequest{K: 4, Alg: "DOR"},
-			"f5fe4908536684f3a52b3d95730010d591c450bc756205c7408b6264941c8c29"},
+			"f5fe4908536684f3a52b3d95730010d591c450bc756205c7408b6264941c8c29",
+			`{"k":4,"alg":"DOR"}`},
 		{"design-k4-minloc", store.DesignRequest{K: 4, Kind: store.DesignMinLocality},
-			"bc8a32a647d5a65e0aa64b2fd804c5be7f89a74b1af12e3f45ce7ec0e726da49"},
+			"bc8a32a647d5a65e0aa64b2fd804c5be7f89a74b1af12e3f45ce7ec0e726da49",
+			`{"k":4,"kind":"minloc"}`},
 		{"design-k6-minloc", store.DesignRequest{K: 6, Kind: store.DesignMinLocality},
-			"27c4adb25711c7c399f202116c6432e76df1d49d3cf067aec61f9f31e7ed3f62"},
+			"27c4adb25711c7c399f202116c6432e76df1d49d3cf067aec61f9f31e7ed3f62", ""},
+		{"design-k4-wcopt-h1.25", store.DesignRequest{K: 4, Kind: store.DesignWorstCase, HNorm: 1.25},
+			"951218314067688958796fc2a6e2ffdf01a583cd7dfa8da8402fbc73898f07d5",
+			`{"k":4,"kind":"wcopt","hnorm":1.25}`},
+		{"pareto-k6", store.ParetoRequest{K: 6, HMin: 1, HMax: 1.375, Points: 4},
+			"a397d4d28cc20db103145a87188986fb635b23caf197f2351484e72f4d6a2a49",
+			`{"k":6,"hmin":1,"hmax":1.375,"points":4}`},
 	}
 	for _, c := range cases {
 		fp, err := c.req.Fingerprint()
@@ -76,21 +87,16 @@ func TestLegacyFingerprintParity(t *testing.T) {
 		if fp != c.want {
 			t.Errorf("%s: fingerprint %s, want %s (legacy store artifacts orphaned)", c.name, fp, c.want)
 		}
-	}
-	// The canonical bytes themselves must be unchanged: no topology key may
-	// appear in a radix-form encoding.
-	b, err := json.Marshal(store.EvalRequest{K: 4, Alg: "DOR"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := string(b), `{"k":4,"alg":"DOR"}`; got != want {
-		t.Errorf("legacy eval request encodes as %s, want %s", got, want)
-	}
-	if b, err = json.Marshal(store.DesignRequest{K: 4, Kind: store.DesignMinLocality}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := string(b), `{"k":4,"kind":"minloc"}`; got != want {
-		t.Errorf("legacy design request encodes as %s, want %s", got, want)
+		if c.bytes == "" {
+			continue
+		}
+		b, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(b); got != c.bytes {
+			t.Errorf("%s: legacy request encodes as %s, want %s", c.name, got, c.bytes)
+		}
 	}
 }
 
