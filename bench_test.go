@@ -181,49 +181,6 @@ func BenchmarkFindSaturationK8(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCutsPermutations compares the pure permutation-cut
-// strategy against the default potential formulation (see
-// BenchmarkAblationCutsPotentials) on the same k=3 worst-case problem.
-func BenchmarkAblationCutsPermutations(b *testing.B) {
-	t := topo.NewTorus(3)
-	for i := 0; i < b.N; i++ {
-		if _, err := design.WorstCaseOptimal(t, design.Options{Cuts: design.CutPermutations}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationCutsPotentials is the potentials side of the ablation.
-func BenchmarkAblationCutsPotentials(b *testing.B) {
-	t := topo.NewTorus(3)
-	for i := 0; i < b.N; i++ {
-		if _, err := design.WorstCaseOptimal(t, design.Options{Cuts: design.CutPotentials}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationFoldOctant vs BenchmarkAblationFoldTranslation compare
-// the two symmetry reductions of Section 4 on the same k=4 problem.
-func BenchmarkAblationFoldOctant(b *testing.B) {
-	t := topo.NewTorus(4)
-	for i := 0; i < b.N; i++ {
-		if _, err := design.WorstCaseOptimal(t, design.Options{Fold: design.FoldOctant}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationFoldTranslation is the translation-only side.
-func BenchmarkAblationFoldTranslation(b *testing.B) {
-	t := topo.NewTorus(4)
-	for i := 0; i < b.N; i++ {
-		if _, err := design.WorstCaseOptimal(t, design.Options{Fold: design.FoldTranslation}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFlowFromAlgorithm measures path enumeration + flow accumulation
 // for the heaviest closed-form algorithm (IVAL) at k=8.
 func BenchmarkFlowFromAlgorithm(b *testing.B) {

@@ -108,10 +108,7 @@ func remoteEval(args []string) (string, func(int64) ([]byte, error), error) {
 	}
 	req := store.EvalRequest{K: *k, Alg: *alg, Samples: *samples, Seed: *seed}
 	return "/v1/eval", func(tms int64) ([]byte, error) {
-		return json.Marshal(struct {
-			store.EvalRequest
-			TimeoutMS int64 `json:"timeout_ms,omitempty"`
-		}{req, tms})
+		return json.Marshal(store.EvalWire{EvalRequest: req, TimeoutMS: tms})
 	}, nil
 }
 
@@ -124,10 +121,7 @@ func remoteWorstPerm(args []string) (string, func(int64) ([]byte, error), error)
 	}
 	req := store.WorstPermRequest{K: *k, Alg: *alg}
 	return "/v1/worstperm", func(tms int64) ([]byte, error) {
-		return json.Marshal(struct {
-			store.WorstPermRequest
-			TimeoutMS int64 `json:"timeout_ms,omitempty"`
-		}{req, tms})
+		return json.Marshal(store.WorstPermWire{WorstPermRequest: req, TimeoutMS: tms})
 	}, nil
 }
 
@@ -149,11 +143,7 @@ func remoteDesign(args []string) (string, func(int64) ([]byte, error), error) {
 	}
 	maxRounds := *rounds
 	return "/v1/design", func(tms int64) ([]byte, error) {
-		return json.Marshal(struct {
-			store.DesignRequest
-			MaxRounds int   `json:"max_rounds,omitempty"`
-			TimeoutMS int64 `json:"timeout_ms,omitempty"`
-		}{req, maxRounds, tms})
+		return json.Marshal(store.DesignWire{DesignRequest: req, MaxRounds: maxRounds, TimeoutMS: tms})
 	}, nil
 }
 
@@ -170,10 +160,6 @@ func remotePareto(args []string) (string, func(int64) ([]byte, error), error) {
 	req := store.ParetoRequest{K: *k, HMin: *hmin, HMax: *hmax, Points: *points}
 	maxRounds := *rounds
 	return "/v1/pareto", func(tms int64) ([]byte, error) {
-		return json.Marshal(struct {
-			store.ParetoRequest
-			MaxRounds int   `json:"max_rounds,omitempty"`
-			TimeoutMS int64 `json:"timeout_ms,omitempty"`
-		}{req, maxRounds, tms})
+		return json.Marshal(store.ParetoWire{ParetoRequest: req, MaxRounds: maxRounds, TimeoutMS: tms})
 	}, nil
 }

@@ -151,35 +151,11 @@ func New(cfg Config) (*Client, error) {
 	}, nil
 }
 
-// Wire envelopes mirror the daemon's: the store request plus budgets that
-// stay outside the fingerprint.
-type evalWire struct {
-	store.EvalRequest
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-type worstPermWire struct {
-	store.WorstPermRequest
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-type designWire struct {
-	store.DesignRequest
-	MaxRounds int   `json:"max_rounds,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-type paretoWire struct {
-	store.ParetoRequest
-	MaxRounds int   `json:"max_rounds,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
 // Eval fetches (computing if needed) the evaluation artifact for req.
 func (c *Client) Eval(ctx context.Context, req store.EvalRequest) (store.EvalArtifact, Meta, error) {
 	var art store.EvalArtifact
 	meta, err := c.doJSON(ctx, "/v1/eval", func(tms int64) ([]byte, error) {
-		return json.Marshal(evalWire{EvalRequest: req, TimeoutMS: tms})
+		return json.Marshal(store.EvalWire{EvalRequest: req, TimeoutMS: tms})
 	}, &art)
 	return art, meta, err
 }
@@ -188,7 +164,7 @@ func (c *Client) Eval(ctx context.Context, req store.EvalRequest) (store.EvalArt
 func (c *Client) WorstPerm(ctx context.Context, req store.WorstPermRequest) (store.WorstPermArtifact, Meta, error) {
 	var art store.WorstPermArtifact
 	meta, err := c.doJSON(ctx, "/v1/worstperm", func(tms int64) ([]byte, error) {
-		return json.Marshal(worstPermWire{WorstPermRequest: req, TimeoutMS: tms})
+		return json.Marshal(store.WorstPermWire{WorstPermRequest: req, TimeoutMS: tms})
 	}, &art)
 	return art, meta, err
 }
@@ -198,7 +174,7 @@ func (c *Client) WorstPerm(ctx context.Context, req store.WorstPermRequest) (sto
 func (c *Client) Design(ctx context.Context, req store.DesignRequest, maxRounds int) (store.DesignArtifact, Meta, error) {
 	var art store.DesignArtifact
 	meta, err := c.doJSON(ctx, "/v1/design", func(tms int64) ([]byte, error) {
-		return json.Marshal(designWire{DesignRequest: req, MaxRounds: maxRounds, TimeoutMS: tms})
+		return json.Marshal(store.DesignWire{DesignRequest: req, MaxRounds: maxRounds, TimeoutMS: tms})
 	}, &art)
 	return art, meta, err
 }
@@ -207,7 +183,7 @@ func (c *Client) Design(ctx context.Context, req store.DesignRequest, maxRounds 
 func (c *Client) Pareto(ctx context.Context, req store.ParetoRequest, maxRounds int) (store.ParetoArtifact, Meta, error) {
 	var art store.ParetoArtifact
 	meta, err := c.doJSON(ctx, "/v1/pareto", func(tms int64) ([]byte, error) {
-		return json.Marshal(paretoWire{ParetoRequest: req, MaxRounds: maxRounds, TimeoutMS: tms})
+		return json.Marshal(store.ParetoWire{ParetoRequest: req, MaxRounds: maxRounds, TimeoutMS: tms})
 	}, &art)
 	return art, meta, err
 }

@@ -15,27 +15,28 @@
 //   - path-restricted designs over the two-turn path space (2TURN, 2TURNA,
 //     Section 5.2/5.4).
 //
-// Instead of the appendix's monolithic dual reformulation, the worst-case
-// problems are solved by constraint generation: the LP carries only the
-// permutation constraints discovered so far, and the exact separation
-// oracle -- a Hungarian maximum-weight matching on the pair-load matrix of a
-// representative channel -- either certifies optimality or produces a
-// violated permutation. Because the generated LP is a relaxation and the
-// incumbent routing function is feasible, the gap between the LP objective
-// and the oracle's load sandwiches the true optimum; convergence is
+// The worst-case problems are solved in the paper's matching-dual form (8),
+// with its pair-constraint block generated lazily: the LP carries only the
+// pair rows and permutation constraints discovered so far, and the exact
+// separation oracle -- a Hungarian maximum-weight matching on the pair-load
+// matrix of a representative channel -- either certifies optimality or
+// produces the violated rows. Because the generated LP is a relaxation and
+// the incumbent routing function is feasible, the gap between the LP
+// objective and the oracle's load sandwiches the true optimum; convergence is
 // self-certifying. The same pattern handles the per-sample maxima of the
 // average-case problem.
 //
 // Symmetry (Section 4) enters through variable folding: commodities are
-// restricted to canonical pair classes of the topology's automorphism group
-// (translation folding alone, or the full group), with every pair's channel
-// loads expressed over the folded variables through explicit automorphisms.
-// Both foldings are implemented and cross-checked in tests; convexity of the
-// cost functions guarantees a symmetric optimum exists, so folding loses
-// nothing. The machinery is generic over topo.Topology: on the 2D torus the
-// full group is the dihedral octant folding of the original engine, on the
-// 3D torus the hyperoctahedral cone, and on the mesh the box-fixing
-// reflections.
+// restricted to canonical pair classes of the topology's full automorphism
+// group, with every pair's channel loads expressed over the folded variables
+// through explicit automorphisms; convexity of the cost functions guarantees
+// a symmetric optimum exists, so folding loses nothing. Only the sampled
+// path LPs, whose objective is not group-invariant, and the explicit LP (16)
+// fold by the translation subgroup, which the tests also use as the
+// reference for the full folding. The machinery is generic over
+// topo.Topology: on the 2D torus the full group is the dihedral octant
+// folding of the original engine, on the 3D torus the hyperoctahedral cone,
+// and on the mesh the box-fixing reflections.
 package design
 
 import (
@@ -52,20 +53,21 @@ import (
 	"tcr/internal/traffic"
 )
 
-// Fold selects the symmetry reduction of the design LPs, flow and path
-// alike; the sampled path LPs (2TURNA, MIN-AVG) always fold by translation.
-type Fold int
+// folding selects the symmetry reduction of a design LP.
+type folding int
 
 const (
-	// FoldOctant folds commodities over the topology's full automorphism
+	// foldOctant folds commodities over the topology's full automorphism
 	// group: one commodity per pair class (on the 2D torus, one per
-	// canonical octant destination -- hence the name). Smallest LPs.
-	FoldOctant Fold = iota
-	// FoldTranslation folds over the translation subgroup only: one
+	// canonical octant destination -- hence the name). Smallest LPs; every
+	// LP but the two below uses it.
+	foldOctant folding = iota
+	// foldTranslation folds over the translation subgroup only: one
 	// commodity per relative destination on vertex-transitive families, one
-	// per ordered pair otherwise. Larger LPs; used to cross-check the full
-	// folding.
-	FoldTranslation
+	// per ordered pair otherwise. Larger LPs; the sampled path LPs and the
+	// explicit LP (16) use it, and the tests compare the full folding
+	// against it.
+	foldTranslation
 )
 
 // Numerical tolerances shared across the design LPs.
@@ -86,27 +88,10 @@ const (
 	decompCoverTol = 1e-7
 )
 
-// Cuts selects the constraint-generation strategy for worst-case problems.
-type Cuts int
-
-const (
-	// CutPotentials (default) uses the paper's LP (8): matching-dual
-	// potential variables per representative channel with lazily added
-	// pair rows. Converges in few rounds.
-	CutPotentials Cuts = iota
-	// CutPermutations adds one worst-permutation row per representative
-	// channel per round (pure cutting planes). Slower; kept as a
-	// cross-check and ablation baseline.
-	CutPermutations
-)
-
-// Options tunes the solvers; the zero value is ready to use.
+// Options sets the solvers' budgets, tolerances and persistence; the zero
+// value is ready to use. The formulation itself is not an option: every
+// worst-case design solves the paper's LP (8) folded by the full group.
 type Options struct {
-	// Fold selects the symmetry reduction (default FoldOctant).
-	Fold Fold
-	// Cuts selects the worst-case constraint strategy (default
-	// CutPotentials).
-	Cuts Cuts
 	// MaxRounds bounds cutting-plane iterations (default 200).
 	MaxRounds int
 	// Tol is the relative convergence tolerance (default 1e-6).
@@ -130,15 +115,13 @@ type Options struct {
 	// retries.
 	Retries int
 	// Checkpoint, when non-empty, is a file path the worst-case flow-LP
-	// cut loops snapshot their state to (accumulated cuts, simplex basis,
-	// pricing cursor), so a killed run restarted with the same path
-	// resumes bit for bit instead of recomputing. See checkpoint.go for the
-	// exact resume semantics. The average-case, capacity and path-LP loops
-	// ignore it, as they ignore WarmFrom and FinalSnapshot.
+	// cut loops snapshot their state to after every round (accumulated
+	// cuts, simplex basis, pricing cursor), so a killed run restarted with
+	// the same path resumes bit for bit instead of recomputing. See
+	// checkpoint.go for the exact resume semantics. The average-case,
+	// capacity and path-LP loops ignore it, as they ignore WarmFrom and
+	// FinalSnapshot.
 	Checkpoint string
-	// CheckpointEvery is the snapshot cadence in cutting-plane rounds
-	// (default 1: every round).
-	CheckpointEvery int
 	// WarmFrom, when non-empty, is a final-state snapshot (written by an
 	// earlier run via FinalSnapshot) the worst-case cut loops warm-start
 	// from when no Checkpoint resumes: the prior run's cuts, simplex basis,
@@ -155,6 +138,11 @@ type Options struct {
 	// loops write their final state to on certification (atomic write),
 	// for a later run to warm-start from via WarmFrom.
 	FinalSnapshot string
+
+	// fold is the symmetry reduction; the zero value is foldOctant. Only
+	// the sampled path LPs, the explicit LP (16) and the tests' reference
+	// runs select foldTranslation.
+	fold folding
 }
 
 // ErrUncertified marks a design outcome whose budgets (rounds, iterations,
@@ -194,13 +182,6 @@ func (o Options) retries() int {
 	return 2
 }
 
-func (o Options) ckptEvery() int {
-	if o.CheckpointEvery > 0 {
-		return o.CheckpointEvery
-	}
-	return 1
-}
-
 // commodity is one folded flow commodity: a pair class of the folding
 // group, carrying its orbit weight (offsets-per-source on vertex-transitive
 // families; ordered-pairs/N in general).
@@ -213,8 +194,7 @@ type commodity struct {
 // carries the variable layout, the pair-to-variable automorphism maps, and
 // the warm-startable solver.
 type FlowLP struct {
-	T    topo.Topology
-	fold Fold
+	T topo.Topology
 	// n and nc cache T.Nodes() and T.Chans().
 	n, nc int
 	// grp is the folding group (full or translation, per fold); seps are
@@ -240,8 +220,8 @@ type FlowLP struct {
 	wVar   lp.VarID // the max-load variable
 	hRow   lp.RowID // locality budget row, -1 when absent
 
-	// blocks are the matching-dual potential blocks when the LP was built
-	// by newPotentialLP; nil for the pure cutting-plane formulation.
+	// blocks are the matching-dual potential blocks of a worst-case LP
+	// built by newPotentialLP; nil for the capacity and average-case LPs.
 	blocks []*potBlock
 
 	// cutLog records every post-construction solver mutation for replay
@@ -259,8 +239,8 @@ type FlowLP struct {
 // representatives) without any LP model; the construction entry points add
 // their own variables and rows on top.
 func newBareFlowLP(t topo.Topology, opts Options) *FlowLP {
-	p := &FlowLP{T: t, n: t.Nodes(), nc: t.Chans(), fold: opts.Fold, opts: opts, hRow: -1}
-	if p.fold == FoldTranslation {
+	p := &FlowLP{T: t, n: t.Nodes(), nc: t.Chans(), opts: opts, hRow: -1}
+	if opts.fold == foldTranslation {
 		p.grp = t.TransGroup()
 	} else {
 		p.grp = t.Group()
@@ -536,26 +516,14 @@ type Result struct {
 	Reason string
 }
 
-// newWorstCaseLP builds the worst-case LP of the Options.Cuts strategy.
-func newWorstCaseLP(t topo.Topology, withLocality bool, opts Options) *FlowLP {
-	if opts.Cuts == CutPermutations {
-		return NewFlowLP(t, withLocality, opts)
-	}
-	return newPotentialLP(t, withLocality, opts)
-}
-
-// solveWorstCase runs the worst-case cut loop on the current LP state until
-// the Hungarian oracle certifies that no permutation loads any
+// solveWorstCase runs the potential LP's (8) cut loop on the current LP
+// state until the Hungarian oracle certifies that no permutation loads any
 // representative channel beyond the bound by more than tol. The bound is
 // the LP's w when fixedBound is NaN; the lexicographic stage 2 passes the
-// fixed stage-1 cap instead. The pure cutting-plane formulation adds one
-// worst-permutation row per violated representative; the potential LP (8)
-// adds the permutation row plus the most violated lazy pair rows.
+// fixed stage-1 cap instead. Each violated representative gets its
+// worst-permutation row plus the most violated lazy pair rows.
 func (p *FlowLP) solveWorstCase(ctx context.Context, fixedBound float64) (*Result, error) {
-	l := &cutLoop{name: "cutting planes", opts: p.opts, solve: p.solveRound, separate: p.worstCaseOracle(fixedBound), ckpt: p}
-	if p.blocks != nil {
-		l.name, l.lastRoundIters = "potential LP", true
-	}
+	l := &cutLoop{name: "potential LP", opts: p.opts, solve: p.solveRound, separate: p.worstCaseOracle(fixedBound), ckpt: p, lastRoundIters: true}
 	return l.run(ctx)
 }
 
@@ -567,19 +535,18 @@ func (p *FlowLP) solveWorstCase(ctx context.Context, fixedBound float64) (*Resul
 // then added in representative order, so the cut sequence is identical for
 // every worker count.
 //
-// Under the potential formulation on vertex-transitive families, which
-// have several representatives only under the translation folding, only the
-// worst-violated representative is fed each round: the blocks are
-// near-copies, and feeding them all multiplies the LP for no information.
-// One aggregate permutation cut moves the bound immediately; the pair rows
-// supply the matching-dual structure. On the meshes the full-group orbits are genuinely independent, so
-// starving all but the worst one would multiply the round count; there, as
-// in the pure cutting-plane formulation, every violated representative is
-// fed.
+// On vertex-transitive families, which have several representatives only
+// under the translation folding, only the worst-violated representative is
+// fed each round: the blocks are near-copies, and feeding them all
+// multiplies the LP for no information. One aggregate permutation cut moves
+// the bound immediately; the pair rows supply the matching-dual structure.
+// On the meshes the full-group orbits are genuinely independent, so
+// starving all but the worst one would multiply the round count; there,
+// every violated representative is fed.
 func (p *FlowLP) worstCaseOracle(fixedBound float64) separateFunc {
 	tol := p.opts.tol()
 	o := newRepOracle(p.seps)
-	feedAll := p.blocks == nil || !p.T.VertexTransitive()
+	feedAll := !p.T.VertexTransitive()
 	return func(ctx context.Context, sol *lp.Solution) (*eval.Flow, float64, bool, error) {
 		flow := p.unfold(sol.X)
 		gw, err := o.run(ctx, p.opts.Workers, flow, oracleFault)
@@ -602,11 +569,9 @@ func (p *FlowLP) worstCaseOracle(fixedBound float64) separateFunc {
 				continue
 			}
 			p.permCut(ch, o.perms[i], p.wVar)
-			if p.blocks != nil {
-				b := p.blocks[i]
-				for _, idx := range violatedPairs(p.n, b, sol.X, o.loads[i], tol, maxRowsPerBlockRound) {
-					p.pairRow(b, idx/p.n, idx%p.n)
-				}
+			b := p.blocks[i]
+			for _, idx := range violatedPairs(p.n, b, sol.X, o.loads[i], tol, maxRowsPerBlockRound) {
+				p.pairRow(b, idx/p.n, idx%p.n)
 			}
 		}
 		return flow, gw, worst >= 0, nil
@@ -666,7 +631,7 @@ func WorstCaseOptimal(t topo.Topology, opts Options) (*Result, error) {
 // WorstCaseOptimalCtx is WorstCaseOptimal under a cancellation context: the
 // solve aborts between cutting-plane rounds once ctx is done.
 func WorstCaseOptimalCtx(ctx context.Context, t topo.Topology, opts Options) (*Result, error) {
-	return newWorstCaseLP(t, false, opts).solveWorstCase(ctx, math.NaN())
+	return newPotentialLP(t, false, opts).solveWorstCase(ctx, math.NaN())
 }
 
 // WorstCaseAtLocality designs the best worst-case routing function whose
@@ -678,7 +643,7 @@ func WorstCaseAtLocality(t topo.Topology, hNorm float64, opts Options) (*Result,
 
 // WorstCaseAtLocalityCtx is WorstCaseAtLocality under a cancellation context.
 func WorstCaseAtLocalityCtx(ctx context.Context, t topo.Topology, hNorm float64, opts Options) (*Result, error) {
-	p := newWorstCaseLP(t, true, opts)
+	p := newPotentialLP(t, true, opts)
 	p.SetLocality(hNorm)
 	return p.solveWorstCase(ctx, math.NaN())
 }
@@ -714,7 +679,7 @@ func WorstCaseParetoCurveCtx(ctx context.Context, t topo.Topology, hNorms []floa
 	// hazard disables the warm-start snapshot paths.
 	opts.Checkpoint = ""
 	opts.WarmFrom, opts.FinalSnapshot = "", ""
-	p := newWorstCaseLP(t, true, opts)
+	p := newPotentialLP(t, true, opts)
 	return sweep(t, hNorms, p.SetLocality,
 		func() (*Result, error) { return p.solveWorstCase(ctx, math.NaN()) },
 		func(res *Result) float64 { return res.GammaWC })

@@ -54,11 +54,11 @@ func TestFoldingsAgree(t *testing.T) {
 		}
 		tor := topo.NewTorus(c.k)
 		for _, h := range c.hs {
-			a, err := WorstCaseAtLocality(tor, h, Options{Fold: FoldOctant})
+			a, err := WorstCaseAtLocality(tor, h, Options{})
 			if err != nil {
 				t.Fatalf("k=%d h=%v octant: %v", c.k, h, err)
 			}
-			b, err := WorstCaseAtLocality(tor, h, Options{Fold: FoldTranslation})
+			b, err := WorstCaseAtLocality(tor, h, Options{fold: foldTranslation})
 			if err != nil {
 				t.Fatalf("k=%d h=%v translation: %v", c.k, h, err)
 			}
@@ -71,11 +71,11 @@ func TestFoldingsAgree(t *testing.T) {
 	// The 2TURN path LP folds the same two ways; its translation folding
 	// takes seconds from k=4 on, so the cross-check runs at k=3.
 	t3 := topo.NewTorus(3)
-	a, err := DesignTwoTurn(t3, Options{Fold: FoldOctant})
+	a, err := DesignTwoTurn(t3, Options{})
 	if err != nil {
 		t.Fatalf("2TURN octant: %v", err)
 	}
-	b, err := DesignTwoTurn(t3, Options{Fold: FoldTranslation})
+	b, err := DesignTwoTurn(t3, Options{fold: foldTranslation})
 	if err != nil {
 		t.Fatalf("2TURN translation: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestFullLPMatchesCuttingPlanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut, err := WorstCaseOptimal(tor, Options{Fold: FoldTranslation})
+	cut, err := WorstCaseOptimal(tor, Options{fold: foldTranslation})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func FullWorstCaseLP(t topo.Topology, opts Options) (*Result, error) {
 	if t.Nodes() > 6 {
 		return nil, fmt.Errorf("design: full worst-case LP limited to N <= 6, got %d", t.Nodes())
 	}
-	opts.Fold = FoldTranslation
+	opts.fold = foldTranslation
 	p := newBareFlowLP(t, opts)
 
 	m := lp.NewModel()

@@ -100,9 +100,8 @@ func TestGoldenDesignFingerprints(t *testing.T) {
 }
 
 // TestGoldenLoopFingerprints pins, bit for bit, the cut loops the k=4/k=6
-// worst-case pins above do not reach: the capacity LP (6), the pure
-// permutation-cut worst case, the average-case LP (15), and the 2TURN and
-// 2TURNA path LPs. Each case hashes (Objective, Flow.X) with goldenHash and
+// worst-case pins above do not reach: the capacity LP (6), the
+// average-case LP (15), and the 2TURN and 2TURNA path LPs. Each case hashes (Objective, Flow.X) with goldenHash and
 // also pins the round and pivot counts, so a change to the order or content
 // of any loop's solver mutations fails here.
 func TestGoldenLoopFingerprints(t *testing.T) {
@@ -126,8 +125,6 @@ func TestGoldenLoopFingerprints(t *testing.T) {
 		return goldenHash(res.Flow.X, res.Objective), res.Rounds, 0
 	}
 	t4, t3 := topo.NewTorus(4), topo.NewTorus(3)
-	permOpts := opts
-	permOpts.Cuts = CutPermutations
 	cases := []struct {
 		name          string
 		run           func() (string, int, int)
@@ -137,9 +134,6 @@ func TestGoldenLoopFingerprints(t *testing.T) {
 		{"Capacity k=4", func() (string, int, int) {
 			return flowCase("Capacity", func() (*Result, error) { return Capacity(t4, opts) })
 		}, "19edc99064fb84e5", 2, 38},
-		{"WorstCaseOptimal CutPermutations k=4", func() (string, int, int) {
-			return flowCase("WorstCaseOptimal", func() (*Result, error) { return WorstCaseOptimal(t4, permOpts) })
-		}, "3c4be97345c73f00", 200, 3935},
 		{"AvgCaseOptimal k=4", func() (string, int, int) {
 			return flowCase("AvgCaseOptimal", func() (*Result, error) {
 				return AvgCaseOptimal(t4, traffic.Sample(t4.N, 12, 17), opts)

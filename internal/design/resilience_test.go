@@ -1,6 +1,7 @@
 package design
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcr/internal/lp"
 	"tcr/internal/topo"
 )
 
@@ -234,7 +236,7 @@ func TestLexCheckpointedStage2(t *testing.T) {
 		t.Fatalf("uncheckpointed: %v", err)
 	}
 	ck := filepath.Join(t.TempDir(), "lex.ckpt")
-	res, err := MinLocalityAtWorstCase(tor, Options{Checkpoint: ck, CheckpointEvery: 1})
+	res, err := MinLocalityAtWorstCase(tor, Options{Checkpoint: ck})
 	if err != nil {
 		t.Fatalf("checkpointed every round: %v", err)
 	}
@@ -338,4 +340,62 @@ func TestPreviousVersionSnapshotsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("run warm-started from a tcr-ckpt-3 snapshot", warm, cold)
+}
+
+// TestCheckpointOfAnotherShapeIgnored: the checkpoint signature carries the
+// base model's shape, so a checkpoint written by one LP never installs into
+// an LP of another shape, even when topology, stage, tolerance and locality
+// all agree. The other LP here is the same torus2d:4 worst-case LP with one
+// extra, redundant base row (w <= N); it must reject the checkpoint, restart
+// cold and match a fresh run of itself.
+func TestCheckpointOfAnotherShapeIgnored(t *testing.T) {
+	tor := topo.NewTorus(4)
+	dir := t.TempDir()
+	widened := func(opts Options) *FlowLP {
+		p := newPotentialLP(tor, false, opts)
+		p.model.AddRow([]lp.Term{{Var: p.wVar, Coef: 1}}, lp.LE, float64(tor.N), "")
+		p.solver = lp.NewSolver(p.model)
+		return p
+	}
+
+	ckpt := filepath.Join(dir, "wc.ckpt")
+	partial, err := WorstCaseOptimal(tor, Options{Checkpoint: ckpt, MaxRounds: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial.Certified {
+		t.Fatal("3-round run certified; expected a leftover checkpoint")
+	}
+	if _, _, ok := newPotentialLP(tor, false, Options{Checkpoint: ckpt}).restoreCheckpoint(); !ok {
+		t.Fatal("the checkpoint does not install into its own LP; the test cannot tell shapes apart")
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck checkpoint
+	if err := json.Unmarshal(data, &ck); err != nil {
+		t.Fatal(err)
+	}
+	if sig := widened(Options{}).sig(); sig == ck.Sig {
+		t.Fatalf("an LP with an extra base row has the checkpoint's signature %q", sig)
+	}
+	if _, _, ok := widened(Options{Checkpoint: ckpt}).restoreCheckpoint(); ok {
+		t.Fatal("the checkpoint installed into an LP of another shape")
+	}
+
+	ctx := context.Background()
+	fresh, err := widened(Options{Checkpoint: filepath.Join(dir, "ref.ckpt")}).solveWorstCase(ctx, math.NaN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := widened(Options{Checkpoint: ckpt}).solveWorstCase(ctx, math.NaN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resumed.Certified || goldenHash(resumed.Flow.X, resumed.Objective) != goldenHash(fresh.Flow.X, fresh.Objective) ||
+		resumed.Rounds != fresh.Rounds || resumed.Iterations != fresh.Iterations {
+		t.Errorf("run over another shape's checkpoint: certified=%v rounds=%d iters=%d, fresh run rounds=%d iters=%d (or flows differ)",
+			resumed.Certified, resumed.Rounds, resumed.Iterations, fresh.Rounds, fresh.Iterations)
+	}
 }

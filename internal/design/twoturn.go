@@ -43,14 +43,15 @@ type PathLP struct {
 
 // NewPathLP enumerates the family per commodity and builds the base LP
 // (distribution rows per commodity, objective min w or min mean(t) when
-// samples are given). Worst-case LPs fold by Options.Fold; sampled LPs by
+// samples are given). Worst-case LPs fold by the full group (tests may set
+// Options.fold to the translation folding as a reference); sampled LPs by
 // translation, since their objective is not group-invariant (see
 // NewAvgCaseLP). It fails if the family produces no path for some commodity,
 // or if a commodity's stabilizer maps one of its paths outside the family:
 // the caller supplies the family, so either is a data condition, not a bug.
 func NewPathLP(t *topo.Torus, family PathFamily, samples []*traffic.Matrix, withLocality bool, opts Options) (*PathLP, error) {
 	if samples != nil {
-		opts.Fold = FoldTranslation
+		opts.fold = foldTranslation
 	}
 	f := newBareFlowLP(t, opts)
 	f.findStabilizers()

@@ -160,20 +160,9 @@ func ComputeWorstPerm(ctx context.Context, req store.WorstPermRequest, cache *ev
 	}, nil
 }
 
-// designOptions maps the request's formulation fields onto design.Options,
-// preserving whatever budgets (MaxRounds, Workers, Checkpoint) the caller
-// already set — budgets ride outside the fingerprint.
-func designOptions(opts design.Options, fold, cuts int, tol, slack float64) design.Options {
-	opts.Fold = design.Fold(fold)
-	opts.Cuts = design.Cuts(cuts)
-	opts.Tol = tol
-	opts.Slack = slack
-	return opts
-}
-
 // ComputeDesign runs the requested LP design. Budgets and the checkpoint
 // path travel in opts (they are not part of the request fingerprint); the
-// formulation comes from the request. An exhausted budget returns the
+// tolerance and slack come from the request. An exhausted budget returns the
 // degraded, uncertified artifact with a nil error — the caller decides
 // whether to persist it (the daemon and CLI only persist certified results).
 func ComputeDesign(ctx context.Context, req store.DesignRequest, opts design.Options) (*store.DesignArtifact, error) {
@@ -184,7 +173,7 @@ func ComputeDesign(ctx context.Context, req store.DesignRequest, opts design.Opt
 	if err != nil {
 		return nil, err
 	}
-	opts = designOptions(opts, req.Fold, req.Cuts, req.Tol, req.Slack)
+	opts.Tol, opts.Slack = req.Tol, req.Slack
 	var res *design.Result
 	switch req.Kind {
 	case store.DesignWorstCase:
@@ -228,7 +217,7 @@ func ComputePareto(ctx context.Context, req store.ParetoRequest, opts design.Opt
 		return nil, err
 	}
 	t := topo.NewTorus(req.K)
-	opts = designOptions(opts, req.Fold, req.Cuts, req.Tol, 0)
+	opts.Tol = req.Tol
 	hNorms := make([]float64, req.Points)
 	for i := range hNorms {
 		if req.Points == 1 {

@@ -367,33 +367,6 @@ func (s *Server) result(ctx context.Context, kind, fp string, compute func(conte
 	})
 }
 
-// Wire request envelopes: the store request (the fingerprint input) plus
-// per-request budgets, which deliberately stay outside the fingerprint so a
-// budget-limited run and its completion share one artifact slot.
-type evalWire struct {
-	store.EvalRequest
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-type worstPermWire struct {
-	store.WorstPermRequest
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-type designWire struct {
-	store.DesignRequest
-	MaxRounds int   `json:"max_rounds,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	Async     bool  `json:"async,omitempty"`
-}
-
-type paretoWire struct {
-	store.ParetoRequest
-	MaxRounds int   `json:"max_rounds,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	Async     bool  `json:"async,omitempty"`
-}
-
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -418,7 +391,7 @@ func (s *Server) reqCtx(r *http.Request, timeoutMS int64) (context.Context, cont
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epEval].Add(1)
-	var req evalWire
+	var req store.EvalWire
 	if err := decode(r, &req); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
@@ -451,7 +424,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleWorstPerm(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epWorstPerm].Add(1)
-	var req worstPermWire
+	var req store.WorstPermWire
 	if err := decode(r, &req); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
@@ -499,7 +472,7 @@ func validateNamed(k int, alg string, validate func() error) error {
 
 func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epDesign].Add(1)
-	var req designWire
+	var req store.DesignWire
 	if err := decode(r, &req); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
@@ -567,7 +540,7 @@ func (s *Server) designCompute(req store.DesignRequest, fp string, maxRounds int
 
 func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epPareto].Add(1)
-	var req paretoWire
+	var req store.ParetoWire
 	if err := decode(r, &req); err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return

@@ -13,6 +13,12 @@ import (
 // all speak exactly the same bytes. Encode is the single serializer both
 // producers use, which is what makes CLI and daemon output diffable
 // byte-for-byte.
+//
+// Each request type also has a wire envelope, the body of its tcrd endpoint:
+// the request (the fingerprint input) plus per-request budgets, which stay
+// outside the fingerprint so a budget-limited run and its completion share
+// one artifact slot. The daemon decodes the envelopes; the client and the
+// CLI's remote verbs encode them.
 
 // SchemaVersion is the artifact schema version stamped into every payload
 // and manifest; bump it when any artifact type changes incompatibly.
@@ -98,6 +104,12 @@ func (r EvalRequest) Validate() error {
 // Fingerprint returns the request's content address.
 func (r EvalRequest) Fingerprint() (string, error) { return Fingerprint(KindEval, r) }
 
+// EvalWire is the /v1/eval request body.
+type EvalWire struct {
+	EvalRequest
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
 // EvalArtifact is the stored result of an EvalRequest: tcr.Metrics plus the
 // normalizing network capacity.
 type EvalArtifact struct {
@@ -133,6 +145,12 @@ func (r WorstPermRequest) Validate() error {
 // Fingerprint returns the request's content address.
 func (r WorstPermRequest) Fingerprint() (string, error) { return Fingerprint(KindWorstPerm, r) }
 
+// WorstPermWire is the /v1/worstperm request body.
+type WorstPermWire struct {
+	WorstPermRequest
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
 // WorstPermArtifact is the stored worst-case certificate: the exact
 // worst-case load and a permutation achieving it (Perm[s] = d).
 type WorstPermArtifact struct {
@@ -155,10 +173,6 @@ type DesignRequest struct {
 	// HNorm > 0 constrains DesignWorstCase to a normalized locality
 	// budget (one Pareto point); 0 leaves locality free.
 	HNorm float64 `json:"hnorm,omitempty"`
-	// Fold and Cuts mirror design.Fold / design.Cuts; zero is the default
-	// strategy.
-	Fold int `json:"fold,omitempty"`
-	Cuts int `json:"cuts,omitempty"`
 	// Tol and Slack mirror design.Options; zero selects the defaults.
 	Tol   float64 `json:"tol,omitempty"`
 	Slack float64 `json:"slack,omitempty"`
@@ -182,9 +196,6 @@ func (r DesignRequest) Validate() error {
 	default:
 		return fmt.Errorf("unknown design kind %q", r.Kind)
 	}
-	if r.Fold < 0 || r.Fold > 1 || r.Cuts < 0 || r.Cuts > 1 {
-		return fmt.Errorf("fold/cuts out of range")
-	}
 	if r.Tol < 0 || r.Slack < 0 {
 		return fmt.Errorf("negative tolerance or slack")
 	}
@@ -193,6 +204,16 @@ func (r DesignRequest) Validate() error {
 
 // Fingerprint returns the request's content address.
 func (r DesignRequest) Fingerprint() (string, error) { return Fingerprint(KindDesign, r) }
+
+// DesignWire is the /v1/design request body. MaxRounds bounds the
+// cutting-plane rounds; Async asks for a job descriptor instead of the
+// artifact.
+type DesignWire struct {
+	DesignRequest
+	MaxRounds int   `json:"max_rounds,omitempty"`
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	Async     bool  `json:"async,omitempty"`
+}
 
 // DesignArtifact is the stored outcome of a design solve: the certified
 // metrics and the full folded-then-unfolded flow table, from which an
@@ -221,8 +242,6 @@ type ParetoRequest struct {
 	HMin   float64 `json:"hmin"`
 	HMax   float64 `json:"hmax"`
 	Points int     `json:"points"`
-	Fold   int     `json:"fold,omitempty"`
-	Cuts   int     `json:"cuts,omitempty"`
 	Tol    float64 `json:"tol,omitempty"`
 }
 
@@ -236,9 +255,6 @@ func (r ParetoRequest) Validate() error {
 	if r.HMin < 1 || r.HMax < r.HMin {
 		return fmt.Errorf("locality range [%v, %v] invalid (need 1 <= hmin <= hmax)", r.HMin, r.HMax)
 	}
-	if r.Fold < 0 || r.Fold > 1 || r.Cuts < 0 || r.Cuts > 1 {
-		return fmt.Errorf("fold/cuts out of range")
-	}
 	if r.Tol < 0 {
 		return fmt.Errorf("negative tolerance")
 	}
@@ -247,6 +263,14 @@ func (r ParetoRequest) Validate() error {
 
 // Fingerprint returns the request's content address.
 func (r ParetoRequest) Fingerprint() (string, error) { return Fingerprint(KindPareto, r) }
+
+// ParetoWire is the /v1/pareto request body, with DesignWire's budgets.
+type ParetoWire struct {
+	ParetoRequest
+	MaxRounds int   `json:"max_rounds,omitempty"`
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	Async     bool  `json:"async,omitempty"`
+}
 
 // ParetoPoint is one stored sample of a tradeoff curve.
 type ParetoPoint struct {
