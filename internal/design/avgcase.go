@@ -6,7 +6,6 @@ import (
 
 	"tcr/internal/eval"
 	"tcr/internal/lp"
-	"tcr/internal/par"
 	"tcr/internal/topo"
 	"tcr/internal/traffic"
 )
@@ -60,9 +59,10 @@ func (a *AvgCaseLP) Solve() (*Result, error) {
 }
 
 // SolveCtx is Solve under a cancellation context. The per-sample separation
-// (channel loads through one shared load plan, plus argmax) runs on
-// Options.Workers goroutines into per-sample slots; cuts are then added in
-// sample order, so the generated LP is identical for every worker count.
+// (each sample's maximum channel load and its argmax, eight samples per pass
+// over one load plan) runs on Options.Workers goroutines into per-sample
+// slots; cuts are then added in sample order, so the generated LP is
+// identical for every worker count.
 //
 // Per-round solves retry through the cut log like the worst-case loops, and
 // exhausted budgets degrade to the best sampled iterate. Options.Checkpoint,
@@ -77,29 +77,25 @@ func (a *AvgCaseLP) SolveCtx(ctx context.Context) (*Result, error) {
 
 // sampleSeparator is the per-sample separation shared by the average-case
 // flow and path LPs and the capacity LP (one uniform sample): each sample's
-// most loaded channel, found on workers goroutines into per-sample slots
-// through one load plan of the round's flow, gets a cut against the
+// most loaded channel, found in batches on workers goroutines through one
+// load plan of the round's flow (LoadPlan.MaxLoads), gets a cut against the
 // sample's bound variable when it exceeds it; cuts are added in sample
 // order. The score is the mean of the maxima, the exact sampled objective
 // value of the iterate. flowOf expands an LP solution, cut adds one load
-// cut, and fault, when non-nil, is the fault-injection hook called per
+// cut, and fault, when non-nil, is the fault-injection hook called once per
 // sample.
 func sampleSeparator(workers int, samples []*traffic.Matrix, bounds []lp.VarID, tol float64,
 	flowOf func([]float64) *eval.Flow, cut func(topo.Channel, *traffic.Matrix, lp.VarID), fault func() error) separateFunc {
-	worstCs := make([]int, len(samples))
-	worsts := make([]float64, len(samples))
 	return func(ctx context.Context, sol *lp.Solution) (*eval.Flow, float64, bool, error) {
 		flow := flowOf(sol.X)
-		plan := flow.Plan()
-		err := par.Do(ctx, len(samples), workers, func(i int) error {
-			if fault != nil {
+		if fault != nil {
+			for range samples {
 				if err := fault(); err != nil {
-					return err
+					return nil, 0, false, err
 				}
 			}
-			worstCs[i], worsts[i] = maxLoad(plan.ChannelLoads(samples[i]))
-			return nil
-		})
+		}
+		worsts, worstCs, err := flow.Plan().MaxLoads(ctx, samples, workers)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -116,18 +112,6 @@ func sampleSeparator(workers int, samples []*traffic.Matrix, bounds []lp.VarID, 
 		}
 		return flow, mean / float64(len(samples)), violated, nil
 	}
-}
-
-// maxLoad returns the most loaded channel and its load (channel 0 and 0
-// when nothing is loaded).
-func maxLoad(loads []float64) (int, float64) {
-	worstC, worst := 0, 0.0
-	for c, l := range loads {
-		if l > worst {
-			worst, worstC = l, c
-		}
-	}
-	return worstC, worst
 }
 
 // AvgCaseOptimal minimizes the sampled mean maximum channel load with no

@@ -10,15 +10,18 @@ import (
 
 	"tcr/internal/routing"
 	"tcr/internal/topo"
+	"tcr/internal/traffic"
 )
 
 // Cache memoizes flow tables content-addressed by topology and
 // algorithm identity, so repeated Report/CLI invocations over the same
 // algorithm reuse one path-enumeration pass; each entry also memoizes its
 // flow's exact worst case (WorstCase), so they reuse one Hungarian pass
-// too. Concurrent lookups of the same key share a single computation;
-// distinct keys compute independently. The cache is safe for concurrent
-// use.
+// too, and its load plan with the uniform-traffic metrics (Summary), so
+// they build one plan and evaluate capacity once. Plans of the flows
+// cached on one topology share its frame. Concurrent lookups of the same
+// key share a single computation; distinct keys compute independently. The
+// cache is safe for concurrent use.
 //
 // A cache built with NewCacheLimit holds at most its cap entries and evicts
 // the least recently used one on overflow; NewCache is unbounded, matching
@@ -31,6 +34,17 @@ type Cache struct {
 	lru    *list.List // front = most recently used; elements hold *cacheEntry
 	cap    int        // 0 = unbounded
 	wcRuns atomic.Int64
+	plans  atomic.Int64
+
+	// frames holds the plan frame of every topology with a cached entry,
+	// keyed by topo.String.
+	frames map[string]*frameSlot
+}
+
+// frameSlot builds a topology's plan frame once.
+type frameSlot struct {
+	once sync.Once
+	fr   *frame
 }
 
 type cacheEntry struct {
@@ -38,7 +52,11 @@ type cacheEntry struct {
 	flow *Flow
 	err  error
 	key  string
+	topo string        // topo.String of the flow's topology
 	elem *list.Element // position in lru; nil once evicted or dropped
+
+	sumOnce sync.Once
+	sum     *Summary
 
 	// The flow's memoized worst case, under wcMu: wcWait is non-nil while
 	// a computation is in flight, wcDone once one has succeeded.
@@ -59,7 +77,7 @@ func NewCacheLimit(maxEntries int) *Cache {
 	if maxEntries < 0 {
 		maxEntries = 0
 	}
-	return &Cache{m: map[string]*cacheEntry{}, lru: list.New(), cap: maxEntries}
+	return &Cache{m: map[string]*cacheEntry{}, lru: list.New(), cap: maxEntries, frames: map[string]*frameSlot{}}
 }
 
 // FlowKey returns the content address of (t, alg) and whether the algorithm
@@ -127,12 +145,22 @@ func (c *Cache) WorstCase(ctx context.Context, t topo.Topology, alg routing.Algo
 	if err != nil {
 		return nil, 0, nil, err
 	}
+	g, perm, err := c.worstCase(ctx, e, workers)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return e.flow, g, perm, nil
+}
+
+// worstCase returns e's memoized worst case, computing it on a miss (see
+// WorstCase).
+func (c *Cache) worstCase(ctx context.Context, e *cacheEntry, workers int) (float64, []int, error) {
 	for {
 		e.wcMu.Lock()
 		if e.wcDone {
 			g, perm := e.wcGamma, e.wcPerm
 			e.wcMu.Unlock()
-			return e.flow, g, perm, nil
+			return g, perm, nil
 		}
 		if wait := e.wcWait; wait != nil {
 			e.wcMu.Unlock()
@@ -140,7 +168,7 @@ func (c *Cache) WorstCase(ctx context.Context, t topo.Topology, alg routing.Algo
 			case <-wait:
 				continue
 			case <-ctx.Done():
-				return nil, 0, nil, ctx.Err()
+				return 0, nil, ctx.Err()
 			}
 		}
 		wait := make(chan struct{})
@@ -156,11 +184,74 @@ func (c *Cache) WorstCase(ctx context.Context, t topo.Topology, alg routing.Algo
 		}
 		e.wcMu.Unlock()
 		close(wait)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		return e.flow, g, perm, nil
+		return g, perm, err
 	}
+}
+
+// Summary holds what a report of a flow needs besides its samples: the
+// flow's load plan, its uniform-traffic metrics and its worst-case load.
+// It is shared across callers and MUST be treated as read-only.
+type Summary struct {
+	Plan *LoadPlan
+	// Capacity is the flow's throughput under uniform traffic
+	// (Flow.Capacity); HAvg and HNorm are Flow.HAvg and Flow.HNorm; GammaWC
+	// is the worst-case load WorstCase returns.
+	Capacity, HAvg, HNorm, GammaWC float64
+}
+
+// Summary returns the memoized summary of (t, alg)'s flow, computing the
+// worst case as WorstCase does and, once per cached flow, the load plan and
+// capacity, bit for bit as the Flow methods do. Uncacheable algorithms are
+// evaluated fresh.
+func (c *Cache) Summary(ctx context.Context, t topo.Topology, alg routing.Algorithm, workers int) (*Summary, error) {
+	e, err := c.entry(ctx, t, alg, workers)
+	if err != nil {
+		return nil, err
+	}
+	g, _, err := c.worstCase(ctx, e, workers)
+	if err != nil {
+		return nil, err
+	}
+	e.sumOnce.Do(func() {
+		c.plans.Add(1)
+		f := e.flow
+		plan := f.planOn(c.frame(e.topo, t))
+		h := f.HAvg()
+		e.sum = &Summary{
+			Plan:     plan,
+			Capacity: 1 / plan.GammaMax(traffic.Uniform(t.Nodes())),
+			HAvg:     h,
+			HNorm:    h / t.MeanMinDist(),
+			GammaWC:  g,
+		}
+	})
+	return e.sum, nil
+}
+
+// frame returns the plan frame of t, whose topo.String is key, shared while
+// a flow on t is cached. Off the cache (no entry on t) it is built fresh.
+func (c *Cache) frame(key string, t topo.Topology) *frame {
+	c.mu.Lock()
+	slot := c.frames[key]
+	if slot == nil {
+		slot = &frameSlot{}
+		if c.cachedOn(key) {
+			c.frames[key] = slot
+		}
+	}
+	c.mu.Unlock()
+	slot.once.Do(func() { slot.fr = newFrame(t) })
+	return slot.fr
+}
+
+// cachedOn reports whether an entry on the topology key is cached.
+func (c *Cache) cachedOn(key string) bool {
+	for _, e := range c.m {
+		if e.topo == key {
+			return true
+		}
+	}
+	return false
 }
 
 // entry returns the entry of (t, alg) with its flow computed. An algorithm
@@ -172,12 +263,12 @@ func (c *Cache) entry(ctx context.Context, t topo.Topology, alg routing.Algorith
 		if err != nil {
 			return nil, err
 		}
-		return &cacheEntry{flow: f}, nil
+		return &cacheEntry{flow: f, topo: topo.String(t)}, nil
 	}
 	c.mu.Lock()
 	e := c.m[key]
 	if e == nil {
-		e = &cacheEntry{key: key}
+		e = &cacheEntry{key: key, topo: topo.String(t)}
 		c.m[key] = e
 		e.elem = c.lru.PushFront(e)
 		if c.cap > 0 && c.lru.Len() > c.cap {
@@ -211,10 +302,13 @@ func (c *Cache) evictOldestLocked() {
 
 // dropLocked unlinks e from the map and the LRU list, guarding against the
 // entry having been replaced (a poisoned drop racing a re-insert) or already
-// evicted.
+// evicted, and releases its topology's frame with the last entry on it.
 func (c *Cache) dropLocked(e *cacheEntry) {
 	if c.m[e.key] == e {
 		delete(c.m, e.key)
+		if !c.cachedOn(e.topo) {
+			delete(c.frames, e.topo)
+		}
 	}
 	if e.elem != nil {
 		c.lru.Remove(e.elem)
@@ -225,6 +319,10 @@ func (c *Cache) dropLocked(e *cacheEntry) {
 // WorstCaseRuns reports how many worst-case computations WorstCase has
 // started, memoized or not (for tests and diagnostics).
 func (c *Cache) WorstCaseRuns() int64 { return c.wcRuns.Load() }
+
+// PlanBuilds reports how many load plans Summary has built, each with its
+// flow's capacity (for tests and diagnostics).
+func (c *Cache) PlanBuilds() int64 { return c.plans.Load() }
 
 // Len reports the number of cached flow tables (for tests and diagnostics).
 func (c *Cache) Len() int {

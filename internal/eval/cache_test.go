@@ -265,3 +265,39 @@ func TestCacheWorstCaseBypassesTables(t *testing.T) {
 		t.Fatalf("table was cached: %d entries, %d runs", c.Len(), c.WorstCaseRuns())
 	}
 }
+
+// TestCacheSharesPlanFrames checks that the plans of flows cached on one
+// topology share its frame, that the frame goes with the last of them, and
+// that a summary is computed once per flow.
+func TestCacheSharesPlanFrames(t *testing.T) {
+	ctx := context.Background()
+	c := NewCacheLimit(2)
+	tor := topo.NewTorus(4)
+	dor, err := c.Summary(ctx, tor, routing.DOR{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, err := c.Summary(ctx, topo.NewTorus(4), routing.VAL{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dor.Plan.fr != val.Plan.fr {
+		t.Error("plans of two flows on torus2d:4 hold separate frames")
+	}
+	if again, _ := c.Summary(ctx, tor, routing.DOR{}, 1); again != dor || c.PlanBuilds() != 2 {
+		t.Errorf("repeated summary rebuilt: %d plan builds, want 2", c.PlanBuilds())
+	}
+	// Two entries on torus2d:3 evict both torus2d:4 flows and their frame.
+	for _, alg := range []routing.Algorithm{routing.DOR{}, routing.VAL{}} {
+		if _, err := c.Summary(ctx, topo.NewTorus(3), alg, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.Lock()
+	_, kept := c.frames[topo.String(tor)]
+	frames := len(c.frames)
+	c.mu.Unlock()
+	if kept || frames != 1 {
+		t.Errorf("%d frames held (torus2d:4 kept: %v), want torus2d:3's alone", frames, kept)
+	}
+}

@@ -141,17 +141,41 @@ func transBy(tg topo.AutGroup, s topo.Node) topo.AutID {
 	return tg.Inverse(a)
 }
 
-// ChannelLoads returns gamma_c(R, Lambda) for every channel, equation (2),
-// through a one-off load plan. Callers evaluating many matrices against one
-// flow should build the plan once (Plan) and share it.
+// ChannelLoads returns gamma_c(R, Lambda) for every channel, equation (2).
+// Callers evaluating many matrices against one flow should build a load
+// plan once (Plan) and share it. On vertex-transitive families this
+// evaluation goes through a one-off plan, whose translation table is the
+// cost of any evaluation there; elsewhere every pair has its own row, so it
+// scans just the rows lambda loads, in place: the plan's terms, in the
+// plan's order, without indexing the N^2 rows a plan would.
 func (f *Flow) ChannelLoads(lambda *traffic.Matrix) []float64 {
-	return f.Plan().ChannelLoads(lambda)
+	if f.T.VertexTransitive() {
+		return f.Plan().ChannelLoads(lambda)
+	}
+	n := f.T.Nodes()
+	loads := make([]float64, f.T.Chans())
+	for s, row := range lambda.L {
+		for d, l := range row {
+			//lint:ignore floatcmp sparsity skip: entries never written stay exactly 0
+			if l == 0 {
+				continue
+			}
+			for c, v := range f.X[s*n+d] {
+				//lint:ignore floatcmp sparsity: channels a path never crosses stay exactly 0
+				if v != 0 {
+					loads[c] += l * v
+				}
+			}
+		}
+	}
+	return loads
 }
 
 // GammaMax returns the normalized maximum channel load under a pattern,
 // equation (3) with unit channel bandwidths.
 func (f *Flow) GammaMax(lambda *traffic.Matrix) float64 {
-	return f.Plan().GammaMax(lambda)
+	_, g := maxLoad(f.ChannelLoads(lambda))
+	return g
 }
 
 // Throughput returns Theta(R, Lambda) = 1/gamma_max, equation (4).
@@ -310,18 +334,19 @@ func (f *Flow) AvgCase(samples []*traffic.Matrix) AvgCaseResult {
 	return r
 }
 
-// AvgCaseCtx computes each sample's maximum channel load on at most workers
-// goroutines, all reading one load plan. The per-sample maxima land in
+// AvgCaseCtx evaluates the average case through a one-off load plan (see
+// LoadPlan.AvgCaseCtx).
+func (f *Flow) AvgCaseCtx(ctx context.Context, samples []*traffic.Matrix, workers int) (AvgCaseResult, error) {
+	return f.Plan().AvgCaseCtx(ctx, samples, workers)
+}
+
+// AvgCaseCtx computes each sample's maximum channel load in batches on at
+// most workers goroutines (MaxLoads). The per-sample maxima land in
 // per-index slots and are summed in sample order, so the floating-point
 // accumulation — and therefore the result — is bit-for-bit the sequential
 // one for every worker count.
-func (f *Flow) AvgCaseCtx(ctx context.Context, samples []*traffic.Matrix, workers int) (AvgCaseResult, error) {
-	plan := f.Plan()
-	gammas := make([]float64, len(samples))
-	err := par.Do(ctx, len(samples), workers, func(i int) error {
-		gammas[i] = plan.GammaMax(samples[i])
-		return nil
-	})
+func (p *LoadPlan) AvgCaseCtx(ctx context.Context, samples []*traffic.Matrix, workers int) (AvgCaseResult, error) {
+	gammas, _, err := p.MaxLoads(ctx, samples, workers)
 	if err != nil {
 		return AvgCaseResult{}, err
 	}

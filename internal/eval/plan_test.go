@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -112,7 +113,7 @@ func TestPlanMatchesDenseScan(t *testing.T) {
 	}
 }
 
-// TestPlanConcurrentUse shares one lazily filled plan across goroutines
+// TestPlanConcurrentUse shares one plan across goroutines
 // evaluating different matrices (run under -race).
 func TestPlanConcurrentUse(t *testing.T) {
 	tp, err := topo.Parse("mesh:4x4")
@@ -145,32 +146,26 @@ func TestPlanConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestPlanFillsOnlyLoadedRows checks that on a family without translation
-// symmetry one evaluation indexes only the rows its matrix loads.
-func TestPlanFillsOnlyLoadedRows(t *testing.T) {
+// TestOneOffLoadsScanOnlyLoadedRows checks that a one-off evaluation on a
+// family without translation symmetry builds no plan: it allocates the load
+// vector alone, however many of the N^2 rows the matrix leaves empty, and
+// matches the dense scan.
+func TestOneOffLoadsScanOnlyLoadedRows(t *testing.T) {
 	tp, err := topo.Parse("mesh:4x4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := sparseFlow(tp, 3)
-	n := tp.Nodes()
-	perm := rand.New(rand.NewSource(4)).Perm(n)
-	plan := f.Plan()
-	plan.ChannelLoads(traffic.Permutation(perm))
-	for r, done := range plan.filled {
-		if loaded := perm[r/n] == r%n; done != loaded {
-			t.Fatalf("row %d (pair %d->%d): indexed=%v, loaded=%v", r, r/n, r%n, done, loaded)
-		}
+	lam := traffic.Permutation(rand.New(rand.NewSource(4)).Perm(tp.Nodes()))
+	if allocs := testing.AllocsPerRun(20, func() { f.ChannelLoads(lam) }); allocs != 1 {
+		t.Errorf("one-off loads: %v allocations, want 1 (the load vector)", allocs)
 	}
-	plan.ChannelLoads(traffic.Uniform(n))
-	for r, done := range plan.filled {
-		if !done {
-			t.Fatalf("row %d not indexed after uniform traffic", r)
-		}
+	if !sameBits(f.ChannelLoads(lam), denseChannelLoads(f, lam)) {
+		t.Error("one-off loads differ from the dense scan")
 	}
 }
 
-// TestPlanSmallerThanFlow checks that a fully indexed plan stays below the
+// TestPlanSmallerThanFlow checks that a plan with its frame stays below the
 // flow table's own size for every Table 1 algorithm at k = 4, 5 and 8 and
 // for the sparse tables.
 func TestPlanSmallerThanFlow(t *testing.T) {
@@ -183,16 +178,97 @@ func TestPlanSmallerThanFlow(t *testing.T) {
 	}
 	for _, f := range flows {
 		plan := f.Plan()
-		plan.ChannelLoads(traffic.Uniform(f.T.Nodes()))
-		const int32Size, float64Size, sliceSize = 4, 8, 24
-		size := int32Size * (len(plan.trans) + len(plan.rel))
-		size += sliceSize*len(plan.nz) + len(plan.filled)
-		for _, row := range plan.nz {
-			size += int32Size * len(row)
-		}
+		const int32Size, intSize, float64Size = 4, 8, 8
+		size := int32Size * (len(plan.fr.trans) + len(plan.fr.rel) + len(plan.idx))
+		size += intSize * len(plan.off)
 		flowSize := float64Size * len(f.X) * f.T.Chans()
 		if size >= flowSize {
 			t.Errorf("%s: plan %d bytes, flow table %d", topo.String(f.T), size, flowSize)
 		}
 	}
+}
+
+// TestBatchedLoadsMatchPerSample checks the multi-sample kernel against
+// ChannelLoads run on each sample alone: every load's bits, gamma_max and
+// its argmax channel, for sample counts around and across the batch width,
+// with matrices that leave whole rows, single entries or everything zero,
+// on one and on four workers.
+func TestBatchedLoadsMatchPerSample(t *testing.T) {
+	var flows []*Flow
+	for _, spec := range []string{"torus2d:8", "torus2d:5"} {
+		tp, err := topo.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range []routing.Algorithm{routing.DOR{}, routing.IVAL{}} {
+			flows = append(flows, FromAlgorithm(tp, alg))
+		}
+	}
+	for _, spec := range []string{"torus3d:4", "mesh:4x4", "mesh:3x5"} {
+		tp, err := topo.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows = append(flows, sparseFlow(tp, 7))
+	}
+	for _, f := range flows {
+		plan := f.Plan()
+		for _, count := range []int{1, 7, 8, 9, 12, 100} {
+			lams := holeySamples(f.T.Nodes(), count, int64(count))
+			want := make([][]float64, count)
+			for i, lam := range lams {
+				want[i] = plan.ChannelLoads(lam)
+			}
+			for lo := 0; lo < count; lo += lanes {
+				loads := plan.batchLoads(lams[lo:min(lo+lanes, count)])
+				for k := 0; k < lanes && lo+k < count; k++ {
+					lane := make([]float64, len(loads))
+					for c := range loads {
+						lane[c] = loads[c][k]
+					}
+					if !sameBits(lane, want[lo+k]) {
+						t.Fatalf("%s, %d samples: sample %d: batched loads differ from ChannelLoads", topo.String(f.T), count, lo+k)
+					}
+				}
+			}
+			for _, workers := range []int{1, 4} {
+				gammas, argmax, err := plan.MaxLoads(context.Background(), lams, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range lams {
+					c, g := maxLoad(want[i])
+					if math.Float64bits(gammas[i]) != math.Float64bits(g) || argmax[i] != c {
+						t.Fatalf("%s, %d samples, %d workers: sample %d: gamma %v at %d, want %v at %d",
+							topo.String(f.T), count, workers, i, gammas[i], argmax[i], g, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// holeySamples returns count seeded doubly-stochastic samples, some with an
+// empty row, some with scattered zero entries, some replaced by
+// permutations, and the last one all zero when count > 1. The pattern's
+// period (5) is prime to the batch width, so every lane gets every kind.
+func holeySamples(n, count int, seed int64) []*traffic.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	lams := traffic.Sample(n, count, seed)
+	for i, lam := range lams {
+		switch i % 5 {
+		case 1:
+			clear(lam.L[rng.Intn(n)])
+		case 2:
+			for j := 0; j < n; j++ {
+				lam.L[rng.Intn(n)][rng.Intn(n)] = 0
+			}
+		case 3:
+			lams[i] = traffic.Permutation(rng.Perm(n))
+		}
+	}
+	if count > 1 {
+		lams[count-1] = traffic.NewMatrix(n)
+	}
+	return lams
 }

@@ -473,8 +473,12 @@ func (s *Solver) dualInner(costs []float64) (Status, error) {
 		subBudget = budget
 	}
 	bland := s.forceBland
-	sinceProgress := 0
-	stallLimit := 2*m + 200
+	// Dantzig's rule picks the leaving row until this call has made more
+	// than blandAfter pivots; from then on Bland's rule holds for the rest
+	// of the call. The count is of pivots, not of pivots without progress: it
+	// never resets.
+	pivots := 0
+	blandAfter := 2*m + 200
 	y := s.computeY(costs)
 
 	for iter := 0; ; iter++ {
@@ -635,8 +639,8 @@ func (s *Solver) dualInner(costs []float64) (Status, error) {
 			}
 		}
 
-		sinceProgress++
-		if sinceProgress > stallLimit {
+		pivots++
+		if pivots > blandAfter {
 			bland = true
 		}
 	}

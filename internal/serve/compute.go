@@ -88,8 +88,10 @@ func evalNetwork(req store.EvalRequest) (topo.Topology, routing.Algorithm, error
 }
 
 // ComputeEval evaluates the paper's metrics for a named closed-form
-// algorithm, resolving flow tables and their worst cases through cache
-// (which may be shared with other requests; nil evaluates fresh).
+// algorithm, resolving flow tables, their worst cases, load plans and
+// capacities through cache (which may be shared with other requests; nil
+// evaluates fresh), so a cold request on a cached flow only samples and
+// evaluates its average case.
 func ComputeEval(ctx context.Context, req store.EvalRequest, cache *eval.Cache, workers int) (*store.EvalArtifact, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -101,25 +103,24 @@ func ComputeEval(ctx context.Context, req store.EvalRequest, cache *eval.Cache, 
 	if cache == nil {
 		cache = eval.NewCacheLimit(1)
 	}
-	f, gw, _, err := cache.WorstCase(ctx, t, alg, workers)
+	sum, err := cache.Summary(ctx, t, alg, workers)
 	if err != nil {
 		return nil, err
 	}
 	netCap := eval.NetworkCapacity(t)
-	capacity := f.Capacity()
 	art := &store.EvalArtifact{
 		Schema:           store.SchemaVersion,
 		Request:          req,
 		NetworkCapacity:  netCap,
-		HAvg:             f.HAvg(),
-		HNorm:            f.HNorm(),
-		Capacity:         capacity,
-		CapacityFraction: capacity / netCap,
-		GammaWC:          gw,
-		WCFraction:       (1 / gw) / netCap,
+		HAvg:             sum.HAvg,
+		HNorm:            sum.HNorm,
+		Capacity:         sum.Capacity,
+		CapacityFraction: sum.Capacity / netCap,
+		GammaWC:          sum.GammaWC,
+		WCFraction:       (1 / sum.GammaWC) / netCap,
 	}
 	if req.Samples > 0 {
-		ac, err := f.AvgCaseCtx(ctx, traffic.Sample(t.Nodes(), req.Samples, req.Seed), workers)
+		ac, err := sum.Plan.AvgCaseCtx(ctx, traffic.Sample(t.Nodes(), req.Samples, req.Seed), workers)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"reflect"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"tcr/internal/routing"
 	"tcr/internal/store"
 	"tcr/internal/topo"
+	"tcr/internal/traffic"
 )
 
 // TestOversizedSampleSetRejected checks the sample budget at admission: the
@@ -101,6 +103,59 @@ func TestWorstCaseComputedOncePerFlow(t *testing.T) {
 		}
 		if !reflect.DeepEqual(perms[i], freshPerm) {
 			t.Errorf("worst-case certificate %d differs from a fresh computation", i)
+		}
+	}
+}
+
+// TestPlanAndCapacityComputedOncePerFlow runs concurrent cold evals of
+// several algorithms on one cache: each flow's load plan and capacity must
+// be computed once, serving every request with the bits the Flow methods
+// compute afresh.
+func TestPlanAndCapacityComputedOncePerFlow(t *testing.T) {
+	ctx := context.Background()
+	cache := eval.NewCache()
+	algs := []string{"DOR", "ROMM", "VAL"}
+	const callers = 4
+	evals := make([]*store.EvalArtifact, len(algs)*callers)
+	var wg sync.WaitGroup
+	for i := range evals {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := store.EvalRequest{K: 6, Alg: algs[i%len(algs)], Samples: 1 + i, Seed: int64(i + 1)}
+			art, err := ComputeEval(ctx, req, cache, 1+i%2)
+			if err != nil {
+				t.Error(err)
+			}
+			evals[i] = art
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if builds := cache.PlanBuilds(); builds != int64(len(algs)) {
+		t.Fatalf("%d plan and capacity computations, want %d (one per flow)", builds, len(algs))
+	}
+	for i, art := range evals {
+		req := art.Request
+		tp := topo.NewTorus(req.K)
+		alg, _ := routing.ByName(req.Alg)
+		f := eval.FromAlgorithm(tp, alg)
+		netCap := eval.NetworkCapacity(tp)
+		ac := f.AvgCase(traffic.Sample(tp.Nodes(), req.Samples, req.Seed))
+		for _, field := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"capacity", art.Capacity, f.Capacity()},
+			{"h_avg", art.HAvg, f.HAvg()},
+			{"h_norm", art.HNorm, f.HNorm()},
+			{"avg_fraction", art.AvgFraction, ac.ApproxThroughput / netCap},
+		} {
+			if math.Float64bits(field.got) != math.Float64bits(field.want) {
+				t.Errorf("eval %d (%s): %s %v, fresh %v", i, req.Alg, field.name, field.got, field.want)
+			}
 		}
 	}
 }

@@ -131,44 +131,77 @@ func DiagonalShift(t *topo.Torus, s int) *Matrix {
 // Sinkhorn-normalizing an i.i.d. Exponential(1) matrix. This is the sample
 // generator behind the average-case cost function (Section 3.3, |X| random
 // traffic matrices).
+//
+// Each iteration normalizes the rows, then the columns, and stops once
+// every column sum was within sinkhornTol of 1. The matrix is swept in row
+// order only, once per iteration: each row first takes the previous
+// iteration's column scaling while its sum is taken (in d order), then its
+// own scaling while it is added into the column sums (each column's terms
+// in s order). Every sum and product is thus the one the textbook
+// row-pass, column-pass loop forms.
 func RandomDoublyStochastic(n int, rng *rand.Rand) *Matrix {
 	m := NewMatrix(n)
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			m.L[s][d] = rng.ExpFloat64() + sinkhornFloor
+	for _, row := range m.L {
+		for d := range row {
+			row[d] = rng.ExpFloat64() + sinkhornFloor
 		}
 	}
-	// Sinkhorn iteration: alternately normalize rows and columns.
+	buf := make([]float64, 2*n)
+	colSum, colInv := buf[:n], buf[n:]
+	for d := range colInv {
+		colInv[d] = 1 // no column scaling before the first row pass; x*1 is exact
+	}
 	for iter := 0; iter < 10000; iter++ {
-		var worst float64
-		for s := 0; s < n; s++ {
-			var sum float64
-			for d := 0; d < n; d++ {
-				sum += m.L[s][d]
+		clear(colSum)
+		// Rows go in pairs so that two row sums, each a serial chain of
+		// additions, are in flight at once.
+		rows := m.L
+		for ; len(rows) >= 2; rows = rows[2:] {
+			r0, r1 := rows[0][:n], rows[1][:n]
+			var sum0, sum1 float64
+			for d, inv := range colInv {
+				r0[d] *= inv
+				r1[d] *= inv
+				sum0 += r0[d]
+				sum1 += r1[d]
 			}
-			inv := 1 / sum
-			for d := 0; d < n; d++ {
-				m.L[s][d] *= inv
-			}
+			scaleAndSum(r0, 1/sum0, colSum)
+			scaleAndSum(r1, 1/sum1, colSum)
 		}
-		for d := 0; d < n; d++ {
-			var sum float64
-			for s := 0; s < n; s++ {
-				sum += m.L[s][d]
+		if len(rows) == 1 {
+			r0 := rows[0][:n]
+			var sum0 float64
+			for d, inv := range colInv {
+				r0[d] *= inv
+				sum0 += r0[d]
 			}
+			scaleAndSum(r0, 1/sum0, colSum)
+		}
+		var worst float64
+		for d, sum := range colSum {
 			if dev := math.Abs(sum - 1); dev > worst {
 				worst = dev
 			}
-			inv := 1 / sum
-			for s := 0; s < n; s++ {
-				m.L[s][d] *= inv
-			}
+			colInv[d] = 1 / sum
 		}
 		if worst < sinkhornTol {
 			break
 		}
 	}
+	for _, row := range m.L {
+		for d, inv := range colInv {
+			row[d] *= inv
+		}
+	}
 	return m
+}
+
+// scaleAndSum multiplies row by inv and adds it into colSum.
+func scaleAndSum(row []float64, inv float64, colSum []float64) {
+	for d := range colSum {
+		row[d] *= inv
+		colSum[d] += row[d]
+	}
 }
 
 // Sample draws count independent doubly-stochastic matrices with a fixed

@@ -15,8 +15,9 @@
 # equation (2) evaluation for DOR and VAL under tornado at k=8 and a mesh
 # permutation; BenchmarkAvgCaseK8: IVAL over 100 samples at k=8;
 # BenchmarkColdEval: the daemon's cold eval of the six Table 1 algorithms
-# with 8 samples each on a warm flow cache) run at -cpu 1 into
-# BENCH_eval.json.
+# with 8 samples each on a warm flow cache; BenchmarkSample: the eight
+# Sinkhorn-normalized 64-node matrices one such eval draws) run at -cpu 1
+# into BENCH_eval.json.
 #
 # Usage: scripts/bench.sh [benchtime]
 #   benchtime  go test -benchtime value (default 10x; use e.g. 2s for
@@ -52,7 +53,7 @@ go test . -run '^$' -bench 'BenchmarkSimulator$|BenchmarkFindSaturationK8$' -ben
 	| tee /dev/stderr | go run ./cmd/benchjson -o "$SIM_OUT"
 
 echo "==> evaluator benchmarks (-cpu 1)"
-go test ./internal/eval ./internal/serve -run '^$' -bench 'BenchmarkChannelLoads|BenchmarkAvgCaseK8$|BenchmarkColdEval$' -benchtime "$BENCHTIME" -benchmem -cpu 1 \
+go test ./internal/eval ./internal/serve ./internal/traffic -run '^$' -bench 'BenchmarkChannelLoads|BenchmarkAvgCaseK8$|BenchmarkColdEval$|BenchmarkSample$' -benchtime "$BENCHTIME" -benchmem -cpu 1 \
 	| tee /dev/stderr | go run ./cmd/benchjson -o "$EVAL_OUT"
 
 echo "==> wrote $OUT, $SIM_OUT and $EVAL_OUT"

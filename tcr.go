@@ -160,17 +160,17 @@ type Metrics struct {
 	AvgCaseFraction float64
 }
 
-// flowCache memoizes flow tables and their worst cases across Report
-// invocations: repeated reports on the same (radix, algorithm) — CLI
-// subcommands, interpolation sweeps — reuse one path-enumeration pass and
-// one Hungarian pass. Designed routing tables have no stable identity and
-// bypass it (see eval.FlowKey).
+// flowCache memoizes flow tables, their worst cases, load plans and
+// capacities across Report invocations: repeated reports on the same
+// (radix, algorithm) — CLI subcommands, interpolation sweeps — reuse one
+// path-enumeration pass, one Hungarian pass and one load plan. Designed
+// routing tables have no stable identity and bypass it (see eval.FlowKey).
 var flowCache = eval.NewCache()
 
 // Report evaluates the paper's metrics for an algorithm; samples may be nil
-// to skip the average case. Flow tables and worst cases are memoized across
-// calls, so re-reporting an algorithm (at a different sample set, say) is
-// cheap.
+// to skip the average case. Flow tables, worst cases and capacities are
+// memoized across calls, so re-reporting an algorithm (at a different
+// sample set, say) is cheap.
 func Report(t *Torus, alg Algorithm, samples []*Traffic) (Metrics, error) {
 	return ReportCtx(context.Background(), t, alg, samples)
 }
@@ -178,22 +178,21 @@ func Report(t *Torus, alg Algorithm, samples []*Traffic) (Metrics, error) {
 // ReportCtx is Report under a cancellation context, which bounds both the
 // flow evaluation and the exact worst-case (Hungarian) computation.
 func ReportCtx(ctx context.Context, t *Torus, alg Algorithm, samples []*Traffic) (Metrics, error) {
-	f, gw, _, err := flowCache.WorstCase(ctx, t, alg, Concurrency)
+	sum, err := flowCache.Summary(ctx, t, alg, Concurrency)
 	if err != nil {
 		return Metrics{}, err
 	}
 	cap := NetworkCapacity(t)
-	capacity := f.Capacity()
 	m := Metrics{
-		HAvg:              f.HAvg(),
-		HNorm:             f.HNorm(),
-		Capacity:          capacity,
-		CapacityFraction:  capacity / cap,
-		GammaWC:           gw,
-		WorstCaseFraction: (1 / gw) / cap,
+		HAvg:              sum.HAvg,
+		HNorm:             sum.HNorm,
+		Capacity:          sum.Capacity,
+		CapacityFraction:  sum.Capacity / cap,
+		GammaWC:           sum.GammaWC,
+		WorstCaseFraction: (1 / sum.GammaWC) / cap,
 	}
 	if len(samples) > 0 {
-		ac, err := f.AvgCaseCtx(ctx, samples, Concurrency)
+		ac, err := sum.Plan.AvgCaseCtx(ctx, samples, Concurrency)
 		if err != nil {
 			return Metrics{}, err
 		}
